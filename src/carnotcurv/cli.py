@@ -2,7 +2,9 @@
 
 Subcommands: geodesic | classify | curvature | verify | sweep.
 Exit codes: 0 ok, 2 usage, 3 integrator, 4 not-ample-equiregular,
-5 singular-covector, 6 verification-failed.
+5 singular-covector, 6 verification-failed (a check failed, or a numerical
+oracle could not decide: RankUnstable, IllConditioned, ShootingDiverged,
+StepUnbalanced, LemmaConditionFailed).
 
 Covectors are given in h-coordinates at the origin (where the frame is the
 coordinate basis).  Tokens parse as exact rationals when possible ("1",
@@ -19,11 +21,12 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import (CarnotError, NotAmple, NotAmpleEquiregular, NotUnitSpeed,
-                     SingularCovector, StepTooLarge, UnsupportedGroup,
+from .errors import (CarnotError, IllConditioned, LemmaConditionFailed,
+                     NotAmple, NotAmpleEquiregular, NotUnitSpeed,
+                     RankUnstable, ShootingDiverged, SingularCovector,
+                     StepTooLarge, StepUnbalanced, UnsupportedGroup,
                      WrongStratum)
-from .groups import (Covector, build_group, cartan_h_from_chart,
-                     engel_h_from_chart)
+from .groups import Covector, build_group
 from .hamiltonian import integrate_flow
 from . import curvature as curvature_mod
 from . import elliptic
@@ -59,6 +62,10 @@ def _parse_covector(text):
                 exact = False
             except ValueError:
                 raise UsageError(f"cannot parse covector component {tok!r}") from None
+        # nan, inf and rationals beyond the float range would only surface
+        # later as NaN rows or an overflow inside the float routes
+        if not abs(vals[-1]) <= sys.float_info.max:
+            raise UsageError(f"covector component {tok!r} is not a finite float")
     if not exact:
         vals = [float(v) for v in vals]
     return vals
@@ -125,7 +132,7 @@ def cmd_classify(args):
     report = regularity.growth_report(model, cov, T=args.T, step=args.step)
     payload = report.to_dict()
     payload["config"] = cfg
-    if model.kind == "cartan" or (model.kind == "goursat" and model.dim == 4):
+    if model.has_pendulum:
         try:
             chart = elliptic.classify_pendulum(model, cov.as_float(),
                                                tol=args.tol_class)
@@ -164,7 +171,7 @@ def cmd_verify(args):
         if args.suite in ("fit", "all"):
             rows += oracle.run_fit_suite(model, count=5, seed=args.seed)
         if args.suite == "slow":
-            if model.kind == "goursat" and model.dim <= 4:
+            if model.dim <= 4:
                 rows += oracle.run_slow_suite(model, seed=args.seed)
             else:
                 print(f"note: slow suite is defined for goursat:3 and "
@@ -212,10 +219,9 @@ def _parse_grid(text, names):
 
 def cmd_sweep(args):
     model = build_group(args.group)
-    if not (model.kind == "cartan" or model.dim == 4):
+    if not model.has_pendulum:
         raise UsageError("sweep charts are defined for goursat:4 and cartan")
-    names = ("theta", "c", "alpha") if model.kind == "goursat" \
-        else ("theta", "c", "alpha", "beta")
+    names = model.chart_axes
     if not args.grid:
         raise UsageError("--grid is required for sweep")
     axes = _parse_grid(args.grid, names)
@@ -235,18 +241,12 @@ def cmd_sweep(args):
         ["stratum", "growth", "r11", "E", "slack"]
     out_rows = []
     for chart_pt in rows():
-        if model.kind == "goursat":
-            h = engel_h_from_chart(*chart_pt)
-        else:
-            h = cartan_h_from_chart(*chart_pt)
+        h = model.h_from_chart(*chart_pt)
         cov = Covector.from_h(model, h)
         chart = elliptic.classify_pendulum(model, cov, tol=args.tol_class)
         entry = regularity.growth_vector_closed_form(model, cov)
         growth = "(" + " ".join(map(str, entry.growth)) + ")"
-        if model.kind == "goursat":
-            E = 0.5 * h[2] ** 2 - h[1] * h[3]
-        else:
-            E = 0.5 * h[2] ** 2 + h[0] * h[4] - h[1] * h[3]
+        E = model.energy(h)
         try:
             r = curvature_mod.r11(model, cov)
             slack = curvature_mod.energy_bound(model, cov) - r
@@ -350,6 +350,10 @@ def main(argv=None):
     except SingularCovector as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
+    except (RankUnstable, IllConditioned, ShootingDiverged, StepUnbalanced,
+            LemmaConditionFailed) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -119,14 +119,9 @@ def energy_bound(model, cov):
 
     Defined only where the bound is stated; returns None elsewhere.
     """
-    h = cov.h
-    if model.kind == "cartan":
-        E = h[2] * h[2] / 2 + h[0] * h[4] - h[1] * h[3]
-        return 6 * E
-    if model.kind == "goursat" and model.dim == 4:
-        E = h[2] * h[2] / 2 - h[1] * h[3]
-        return 4 * E
-    return None
+    if not model.has_pendulum:
+        return None
+    return model.energy_factor * model.energy(cov.h)
 
 
 class CurvatureReport:

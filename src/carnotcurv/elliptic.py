@@ -142,30 +142,23 @@ class PendulumChart:
 
 
 def _chart_data(model, cov, tol):
-    h = [float(v) for v in cov.h]
-    if model.kind == "goursat" and model.dim == 4:
-        theta = math.atan2(-h[0], h[1])
-        c = h[2]
-        alpha_signed = h[3]
-        alpha = abs(alpha_signed)
-        E = 0.5 * c * c - h[1] * h[3]
-        offset = 0.0 if alpha_signed >= 0 else math.pi
-        beta = None
-        sign = "+" if alpha_signed > 0 else ("-" if alpha_signed < 0 else None)
-        abnormal = abs(h[0]) <= tol and abs(h[2]) <= tol
-    elif model.kind == "cartan":
-        theta = math.atan2(h[1], h[0])
-        c = h[2]
-        alpha = math.hypot(h[3], h[4])
-        E = 0.5 * c * c + h[0] * h[4] - h[1] * h[3]
-        beta = math.atan2(h[3], -h[4]) if alpha > 0 else 0.0
-        offset = beta
-        sign = None
-        abnormal = abs(h[2]) <= tol and abs(h[0] * h[3] + h[1] * h[4]) <= tol
-    else:
+    if not model.has_pendulum:
         raise UnsupportedGroup(
             "pendulum classification is defined for the Engel group "
             "(goursat:4) and the Cartan group")
+    h = [float(v) for v in cov.h]
+    theta, c, alpha, E = cov.theta, h[2], cov.alpha, model.energy(h)
+    if model.kind == "goursat":
+        offset = 0.0 if alpha >= 0 else math.pi
+        beta = None
+        sign = "+" if alpha > 0 else ("-" if alpha < 0 else None)
+        alpha = abs(alpha)
+        abnormal = abs(h[0]) <= tol and abs(h[2]) <= tol
+    else:
+        beta = cov.beta if alpha > 0 else 0.0
+        offset = beta
+        sign = None
+        abnormal = abs(h[2]) <= tol and abs(h[0] * h[3] + h[1] * h[4]) <= tol
     return h, theta, c, alpha, E, beta, offset, sign, abnormal
 
 
@@ -300,10 +293,8 @@ def pendulum_closed_form(chart, t):
 
 
 def _h_from_angle(chart, theta_t, c):
-    if chart.model.kind == "goursat":
-        return (-math.sin(theta_t), math.cos(theta_t), c, chart.h0[3])
-    return (math.cos(theta_t), math.sin(theta_t), c,
-            chart.h0[3], chart.h0[4])
+    # the fiber components beyond h3 are constants of the pendulum flow
+    return chart.model.circle(theta_t) + (c,) + chart.h0[3:]
 
 
 def pole_zero_times(chart, T):

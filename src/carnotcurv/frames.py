@@ -126,15 +126,8 @@ class FrameFields:
         return sigma_pair_fields(v, w)
 
 
-_FRAME_CACHE = {}
-
-
 def frame_fields(model):
-    ff = _FRAME_CACHE.get(model.spec_string)
-    if ff is None:
-        ff = FrameFields(model)
-        _FRAME_CACHE[model.spec_string] = ff
-    return ff
+    return model.memo(FrameFields)
 
 
 class HField:
@@ -377,15 +370,8 @@ class HFrame:
         return tuple(out)
 
 
-_HFRAME_CACHE = {}
-
-
 def h_frame(model):
-    hf = _HFRAME_CACHE.get(model.spec_string)
-    if hf is None:
-        hf = HFrame(model)
-        _HFRAME_CACHE[model.spec_string] = hf
-    return hf
+    return model.memo(HFrame)
 
 
 class IdentityCheck:

@@ -62,10 +62,27 @@ def _unitriangular_inverse(a):
 
 
 class GroupModel:
-    """Immutable Carnot-group realization; build via build_group()."""
+    """Immutable Carnot-group realization; build via build_group().
 
-    def __init__(self, kind, dim, strata, base_names, a_base, structure,
-                 pole_index, spec_string):
+    Besides the realization, the model carries every fact that depends only
+    on the family, so other modules read these instead of testing kind and
+    dim:
+
+    * pole_index (1-based) and has_pole: the pole coordinate is h1 in the
+      Goursat family and h3 in the Cartan group; goursat:3 has no pole.
+    * has_pendulum, energy(h), energy_factor: the Engel and Cartan vertical
+      flows are a pendulum with energy E, and R11 <= energy_factor * E.
+    * invariant_cols: the 0-based fiber columns the flow conserves.
+    * circle(theta), chart_axes, h_from_chart: the chart convention.
+    * default_max_order: the bracket order the rank oracle goes up to.
+
+    memo(build) holds the objects derived from the model (bracket algebras,
+    compiled flow, oracle chains), each built once.
+    """
+
+    def __init__(self, kind, dim, strata, base_names, a_base, a_inv_base,
+                 structure, spec_string):
+        goursat = kind == "goursat"
         self.kind = kind
         self.dim = dim
         self.rank = 2
@@ -74,12 +91,44 @@ class GroupModel:
         self.base_names = tuple(base_names)
         self.var_names = tuple(base_names) + tuple("p_" + s for s in base_names)
         self.a_base = tuple(tuple(row) for row in a_base)
-        self.a_inv_base = tuple(tuple(row) for row in
-                                _unitriangular_inverse([list(r) for r in a_base]))
+        self.a_inv_base = tuple(tuple(row) for row in a_inv_base)
         self.structure = dict(structure)
-        self.pole_index = pole_index
         self.spec_string = spec_string
-        self.young = (dim - 1, 1) if kind == "goursat" else (4, 1)
+        self.young = (dim - 1, 1) if goursat else (4, 1)
+        self.pole_index = 1 if goursat else 3
+        self.has_pole = not (goursat and dim == 3)
+        self.has_pendulum = not goursat or dim == 4
+        self.energy_factor = (4 if goursat else 6) if self.has_pendulum else None
+        self.invariant_cols = (dim - 1,) if goursat else (3, 4)
+        self.default_max_order = max(2 * dim - 3, dim) if goursat else 6
+        self.circle = _goursat_circle if goursat else _cartan_circle
+        self.chart_axes = self.h_from_chart = None
+        if self.has_pendulum and goursat:
+            self.chart_axes = ("theta", "c", "alpha")
+            self.h_from_chart = engel_h_from_chart
+        elif self.has_pendulum:
+            self.chart_axes = ("theta", "c", "alpha", "beta")
+            self.h_from_chart = cartan_h_from_chart
+        self._memo = {}
+
+    def energy(self, h):
+        """Pendulum energy E = h3^2/2 + h1 h5 - h2 h4 (Cartan), h3^2/2 - h2 h4
+        (Engel); defined where has_pendulum.
+
+        h may hold exact rationals, floats, or numpy columns (pass h.T for
+        an array of h rows).
+        """
+        e = h[2] * h[2] / 2
+        if self.kind == "cartan":
+            e = e + h[0] * h[4]
+        return e - h[1] * h[3]
+
+    def memo(self, build):
+        """build(self), computed on first use and kept for the model's life."""
+        value = self._memo.get(build)
+        if value is None:
+            value = self._memo[build] = build(self)
+        return value
 
     # frame fields as base vector fields (n components over n variables)
     def frame_field(self, i):
@@ -200,7 +249,6 @@ def build_group(spec):
             raise RealizationMismatch("goursat realization failed validation")
         names = ["x"] + [f"y{j}" for j in range(n - 1)]
         strata = [2] + [1] * (n - 2)
-        model = GroupModel("goursat", n, strata, names, a, structure, 1, key)
     else:
         a = None
         for s1, s2 in _CARTAN_SIGN_CANDIDATES:
@@ -211,9 +259,15 @@ def build_group(spec):
         if a is None:
             raise RealizationMismatch(
                 "cartan realization: no z-sign choice reproduces the bracket table")
-        model = GroupModel("cartan", 5, [2, 1, 2], ["x", "y", "z", "v", "w"],
-                           a, _CARTAN_STRUCTURE, 3, key)
-
+        structure = _CARTAN_STRUCTURE
+        names = ["x", "y", "z", "v", "w"]
+        strata = [2, 1, 2]
+    # proved here as a polynomial identity, A A^-1 = I holds at every base
+    # point, so fiber_transform evaluates both matrices without a check
+    ainv = _unitriangular_inverse(a)
+    if _mat_mul(a, ainv) != _mat_identity(n, n):
+        raise SingularFrame("frame matrix inverse check failed")
+    model = GroupModel(kind, n, strata, names, a, ainv, structure, key)
     _MODEL_CACHE[key] = model
     return model
 
@@ -233,21 +287,9 @@ def fiber_transform(model, base):
         raise SingularFrame(f"base point must have dim {model.dim}")
     if _is_exact_seq(base):
         base = tuple(Fraction(v) for v in base)
-    n = model.dim
-    a = [[model.a_base[i][j].eval(base) for j in range(n)] for i in range(n)]
-    ainv = [[model.a_inv_base[i][j].eval(base) for j in range(n)] for i in range(n)]
-    # sanity: product must be the identity (unitriangular, det 1)
-    for i in range(n):
-        for j in range(n):
-            prod = sum(a[i][k] * ainv[k][j] for k in range(n))
-            want = 1 if i == j else 0
-            if isinstance(prod, Fraction):
-                ok = prod == want
-            else:
-                ok = abs(prod - want) <= 1e-12
-            if not ok:
-                raise SingularFrame("frame matrix inverse check failed")
-    return tuple(map(tuple, a)), tuple(map(tuple, ainv))
+    a = tuple(tuple(p.eval(base) for p in row) for row in model.a_base)
+    ainv = tuple(tuple(p.eval(base) for p in row) for row in model.a_inv_base)
+    return a, ainv
 
 
 def _mat_apply(m, v):
@@ -373,12 +415,20 @@ class Covector:
                 f"h={self.h})")
 
 
+def _goursat_circle(theta):
+    return (-math.sin(theta), math.cos(theta))
+
+
+def _cartan_circle(theta):
+    return (math.cos(theta), math.sin(theta))
+
+
 def engel_h_from_chart(theta, c, alpha):
     """h-components for the Engel chart (theta, c, alpha) on {H = 1/2}."""
-    return (-math.sin(theta), math.cos(theta), c, alpha)
+    return _goursat_circle(theta) + (c, alpha)
 
 
 def cartan_h_from_chart(theta, c, alpha, beta):
     """h-components for the Cartan chart (theta, c, alpha, beta) on {H = 1/2}."""
-    return (math.cos(theta), math.sin(theta), c,
-            alpha * math.sin(beta), -alpha * math.cos(beta))
+    return _cartan_circle(theta) + (c, alpha * math.sin(beta),
+                                    -alpha * math.cos(beta))

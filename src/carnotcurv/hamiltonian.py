@@ -16,9 +16,6 @@ from .errors import StepTooLarge
 from .frames import frame_fields
 from .groups import Covector
 
-_COMPILED = {}
-
-
 class CompiledFlow:
     """Generated numeric callables for one model."""
 
@@ -57,11 +54,32 @@ class CompiledFlow:
 
 
 def compiled_flow(model):
-    cf = _COMPILED.get(model.spec_string)
-    if cf is None:
-        cf = CompiledFlow(model)
-        _COMPILED[model.spec_string] = cf
-    return cf
+    return model.memo(CompiledFlow)
+
+
+def rk4_step(cf, y, dt, M=None):
+    """One classical RK4 step of the flow from y; also steps the variational
+    matrix M (y' = rhs(y), M' = jac(y) M) when one is given.
+
+    Returns (y, M) at t + dt, M being None when none was given.
+    """
+    rhs = cf.rhs
+    k1 = rhs(y)
+    y2 = y + 0.5 * dt * k1
+    k2 = rhs(y2)
+    y3 = y + 0.5 * dt * k2
+    k3 = rhs(y3)
+    y4 = y + dt * k3
+    k4 = rhs(y4)
+    y_next = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    if M is None:
+        return y_next, None
+    jac = cf.jac
+    m1 = jac(y) @ M
+    m2 = jac(y2) @ (M + 0.5 * dt * m1)
+    m3 = jac(y3) @ (M + 0.5 * dt * m2)
+    m4 = jac(y4) @ (M + dt * m3)
+    return y_next, M + (dt / 6.0) * (m1 + 2 * m2 + 2 * m3 + m4)
 
 
 def flow_rhs(model, cov):
@@ -141,12 +159,9 @@ class Trajectory:
 
     def E_series(self):
         """Pendulum energy integral along the flow (Engel and Cartan only)."""
-        h = self.h_series()
-        if self.model.kind == "cartan":
-            return 0.5 * h[:, 2] ** 2 + h[:, 0] * h[:, 4] - h[:, 1] * h[:, 3]
-        if self.model.kind == "goursat" and self.model.dim == 4:
-            return 0.5 * h[:, 2] ** 2 - h[:, 1] * h[:, 3]
-        return None
+        if not self.model.has_pendulum:
+            return None
+        return self.model.energy(self.h_series().T)
 
     def conservation_drift(self):
         """Max |H(t) - H(0)| over the stored samples."""
@@ -156,11 +171,8 @@ class Trajectory:
     def invariant_fiber_drift(self):
         """Max drift of the invariant fiber components (h_n, or h4 and h5)."""
         h = self.h_series()
-        if self.model.kind == "goursat":
-            cols = [self.model.dim - 1]
-        else:
-            cols = [3, 4]
-        return float(max(np.max(np.abs(h[:, c] - h[0, c])) for c in cols))
+        return float(max(np.max(np.abs(h[:, c] - h[0, c]))
+                         for c in self.model.invariant_cols))
 
     def symplectic_defect(self):
         """Max over samples of ||M^T J M - J||_inf."""
@@ -204,7 +216,8 @@ def integrate_flow(model, cov, T, step=1e-3, with_variational=False,
     """Classical fixed-step RK4 on the 2n-dim system (plus 2n x 2n variational).
 
     T may be negative (backward flow).  Raises StepTooLarge when the
-    Hamiltonian drifts by more than drift_bound over the run.  With
+    Hamiltonian drifts by more than drift_bound over the run, or when the
+    drift is not a number (a covector too large for floats).  With
     richardson=True a second pass at half the step is combined as
     (16 y_{h/2} - y_h)/15, eliminating the h^4 truncation term (the deep
     rows of the Jacobi-curve fit need this).
@@ -223,53 +236,33 @@ def integrate_flow(model, cov, T, step=1e-3, with_variational=False,
         if with_variational:
             Ms = (16.0 * t2.Ms - t1.Ms) / 15.0
         traj = Trajectory(model, t1.ts, ys, Ms)
+    else:
+        cf = compiled_flow(model)
+        n = model.dim
+        y = np.array([float(v) for v in cov.xp()])
+        nsteps = max(1, int(round(abs(T) / step)))
+        hstep = math.copysign(abs(T) / nsteps, T)
+
+        # rk4_step returns fresh arrays, so the stored samples need no copy
+        M = np.eye(2 * n) if with_variational else None
+        ts, ys, Ms = [0.0], [y], [M]
+        t = 0.0
+        for k in range(nsteps):
+            y, M = rk4_step(cf, y, hstep, M)
+            t += hstep
+            if (k + 1) % store_every == 0 or k == nsteps - 1:
+                ts.append(t)
+                ys.append(y)
+                Ms.append(M)
+
+        traj = Trajectory(model, np.array(ts), np.array(ys),
+                          np.array(Ms) if with_variational else None)
+    if drift_bound is not None:
         drift = traj.conservation_drift()
-        if drift_bound is not None and drift > drift_bound:
+        if not drift <= drift_bound:
             raise StepTooLarge(
-                f"H drift {drift:.3e} exceeds bound {drift_bound:.3e}")
-        return traj
-    cf = compiled_flow(model)
-    n = model.dim
-    y = np.array([float(v) for v in cov.xp()])
-    nsteps = max(1, int(round(abs(T) / step)))
-    hstep = math.copysign(abs(T) / nsteps, T)
-
-    ts = [0.0]
-    ys = [y.copy()]
-    Ms = None
-    M = None
-    if with_variational:
-        M = np.eye(2 * n)
-        Ms = [M.copy()]
-
-    rhs, jac = cf.rhs, cf.jac
-    t = 0.0
-    for k in range(nsteps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * hstep * k1)
-        k3 = rhs(y + 0.5 * hstep * k2)
-        k4 = rhs(y + hstep * k3)
-        if with_variational:
-            m1 = jac(y) @ M
-            m2 = jac(y + 0.5 * hstep * k1) @ (M + 0.5 * hstep * m1)
-            m3 = jac(y + 0.5 * hstep * k2) @ (M + 0.5 * hstep * m2)
-            m4 = jac(y + hstep * k3) @ (M + hstep * m3)
-            M = M + (hstep / 6.0) * (m1 + 2 * m2 + 2 * m3 + m4)
-        y = y + (hstep / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += hstep
-        if (k + 1) % store_every == 0 or k == nsteps - 1:
-            ts.append(t)
-            ys.append(y.copy())
-            if with_variational:
-                Ms.append(M.copy())
-
-    traj = Trajectory(model, np.array(ts), np.array(ys),
-                      np.array(Ms) if with_variational else None)
-    drift = traj.conservation_drift()
-    if drift_bound is not None and drift > drift_bound:
-        raise StepTooLarge(
-            f"H drift {drift:.3e} exceeds bound {drift_bound:.3e}; "
-            f"reduce the step size")
+                f"H drift {drift:.3e} exceeds bound {drift_bound:.3e}; "
+                f"reduce the step size")
     return traj
 
 
@@ -277,13 +270,9 @@ def conserved_quantities(model, cov):
     """Conserved quantities at a covector: H, invariant fiber components,
     and the pendulum energy where defined."""
     h = cov.h
-    out = {"H": (h[0] * h[0] + h[1] * h[1]) / 2}
-    if model.kind == "goursat":
-        out[f"h{model.dim}"] = h[model.dim - 1]
-        if model.dim == 4:
-            out["E"] = h[2] * h[2] / 2 - h[1] * h[3]
-    else:
-        out["h4"] = h[3]
-        out["h5"] = h[4]
-        out["E"] = h[2] * h[2] / 2 + h[0] * h[4] - h[1] * h[3]
+    out = {"H": cov.H}
+    for c in model.invariant_cols:
+        out[f"h{c + 1}"] = h[c]
+    if model.has_pendulum:
+        out["E"] = model.energy(h)
     return out

@@ -30,9 +30,6 @@ from .hamiltonian import compiled_flow, integrate_flow
 from .symfields import Poly, Rat, sigma_pair
 from . import curvature as _curv
 
-_ORACLE_CACHE = {}
-
-
 class OracleFields:
     """Cached bracket chain ad_H^k(W) for one model, in the h-frame basis."""
 
@@ -47,18 +44,13 @@ class OracleFields:
 
 
 def oracle_fields(model):
-    of = _ORACLE_CACHE.get(model.spec_string)
-    if of is None:
-        of = OracleFields(model)
-        _ORACLE_CACHE[model.spec_string] = of
-    return of
+    return model.memo(OracleFields)
 
 
 def _require_pole(model, cov):
-    h = cov.h
-    pole = h[model.pole_index - 1]
-    if model.kind == "goursat" and model.dim == 3:
+    if not model.has_pole:
         return
+    pole = cov.h[model.pole_index - 1]
     if cov.exact:
         if pole == 0:
             raise SingularCovector("pole coordinate vanishes at the covector")
@@ -559,11 +551,7 @@ def random_unit_covector(model, rng, pole_min=0.1):
     """Float unit-speed covector with the pole bounded away from zero."""
     n = model.dim
     while True:
-        th = rng.uniform(-math.pi, math.pi)
-        if model.kind == "goursat":
-            h = [-math.sin(th), math.cos(th)]
-        else:
-            h = [math.cos(th), math.sin(th)]
+        h = list(model.circle(rng.uniform(-math.pi, math.pi)))
         h += list(rng.uniform(-2, 2, n - 2))
         if abs(h[model.pole_index - 1]) >= pole_min:
             return Covector.from_h(model, h)

@@ -19,12 +19,16 @@ import numpy as np
 
 from .errors import NotAmple, RankUnstable
 from .frames import h_frame
-from .hamiltonian import compiled_flow, integrate_flow
+from .hamiltonian import compiled_flow, integrate_flow, rk4_step
 from . import elliptic
 
 _RANK_TOL = 1e-8
 _GAP_RATIO = 1e2
 _NOISE_CEIL = 1e-10
+# a float pole coordinate at most this large counts as zero, in the growth
+# criteria and at both ends of the loss-time scan alike (the elliptic closed
+# form cannot place a zero closer to an end than that either)
+_ZERO_TOL = 1e-9
 
 
 class GrowthEntry:
@@ -50,7 +54,7 @@ def _is_zero(v, exact, tol):
     return abs(v) <= tol
 
 
-def growth_vector_closed_form(model, cov, tol=1e-9):
+def growth_vector_closed_form(model, cov, tol=_ZERO_TOL):
     """Growth vector at the covector's time, by the pole-coordinate criteria.
 
     Goursat n >= 4: (2,3,..,n) when h1 != 0; (2,3,3,4,4,..,n) when h1 = 0
@@ -62,9 +66,9 @@ def growth_vector_closed_form(model, cov, tol=1e-9):
     h = cov.h
     exact = cov.exact
     n = model.dim
+    if not model.has_pole:
+        return GrowthEntry((2, 3), True, True, False)
     if model.kind == "goursat":
-        if n == 3:
-            return GrowthEntry((2, 3), True, True, False)
         h1_zero = _is_zero(h[0], exact, tol)
         h3_zero = _is_zero(h[2], exact, tol)
         if h1_zero and h3_zero:
@@ -84,28 +88,11 @@ def growth_vector_closed_form(model, cov, tol=1e-9):
     return GrowthEntry((2, 3, 4, 4, 5), True, False, False)
 
 
-def default_max_order(model):
-    if model.kind == "goursat":
-        return max(2 * model.dim - 3, model.dim)
-    return 6
-
-
-_RANK_FIELDS = {}
-
-
 def _rank_fields(model):
     """ad_H^k applied to the vertical frame d/dh_j, in the h-frame basis."""
-    key = model.spec_string
-    cached = _RANK_FIELDS.get(key)
-    if cached is not None:
-        return cached
     hf = h_frame(model)
-    kmax = default_max_order(model)
-    fields = []
-    for j in range(1, model.dim + 1):
-        fields.append(hf.ad_h_chain(hf.dh(j), kmax))
-    _RANK_FIELDS[key] = fields
-    return fields
+    return [hf.ad_h_chain(hf.dh(j), model.default_max_order)
+            for j in range(1, model.dim + 1)]
 
 
 def growth_vector_rank_oracle(model, cov, t=0.0, max_order=None,
@@ -118,14 +105,14 @@ def growth_vector_rank_oracle(model, cov, t=0.0, max_order=None,
     smaller than a factor of 100.
     """
     if max_order is None:
-        max_order = default_max_order(model)
+        max_order = model.default_max_order
     n = model.dim
     cov = cov.as_float()
     if t:
         traj = integrate_flow(model, cov, t, step=step, drift_bound=1e-6)
         cov = traj.covector(len(traj) - 1)
     hf = h_frame(model)
-    fields = _rank_fields(model)
+    fields = model.memo(_rank_fields)
     basis = hf.basis_at(cov)
     vecs_by_order = []
     for k in range(max_order + 1):
@@ -185,12 +172,6 @@ def rank_oracle_matches(model, cov, t=0.0, step=1e-3):
     return seq[-1] < model.dim and seq[-1] == seq[-2]
 
 
-def _pole_series(model, traj):
-    h = traj.h_series()
-    col = 0 if model.kind == "goursat" else 2
-    return h[:, col]
-
-
 def equiregularity_loss_times(model, cov, T, step=1e-3, refine_tol=1e-10):
     """Zeros of the pole coordinate along the flow on [0, T].
 
@@ -202,36 +183,33 @@ def equiregularity_loss_times(model, cov, T, step=1e-3, refine_tol=1e-10):
     entry = growth_vector_closed_form(model, cov)
     if not entry.ample:
         raise NotAmple("geodesic is abnormal; equiregularity times undefined")
-    if model.kind == "goursat" and model.dim == 3:
+    if not model.has_pole:
         return []
     cov = cov.as_float()
     traj = integrate_flow(model, cov, T, step=step, drift_bound=1e-6)
-    s = _pole_series(model, traj)
+    col = model.pole_index - 1
+    s = traj.h_series()[:, col]
     ts = traj.ts
     cf = compiled_flow(model)
-    col = 0 if model.kind == "goursat" else 2
 
     def pole_at(i, dt):
         """Pole coordinate at ts[i] + dt via one local RK4 step."""
-        y = traj.ys[i]
         if dt == 0.0:
             return s[i]
-        k1 = cf.rhs(y)
-        k2 = cf.rhs(y + 0.5 * dt * k1)
-        k3 = cf.rhs(y + 0.5 * dt * k2)
-        k4 = cf.rhs(y + dt * k3)
-        yn = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return cf.h_of(yn)[col]
+        return cf.h_of(rk4_step(cf, traj.ys[i], dt)[0])[col]
 
-    zeros = []
-    if abs(s[0]) <= 1e-12:
-        zeros.append(0.0)
+    # a pole within _ZERO_TOL at either end of the scan is a zero at that
+    # end, and a sign change in the step next to it is that same zero
+    at_start, at_end = abs(s[0]) <= _ZERO_TOL, abs(s[-1]) <= _ZERO_TOL
+    last = len(ts) - 2
+    zeros = [0.0] if at_start else []
     for i in range(len(ts) - 1):
         a, b = s[i], s[i + 1]
         if a == 0.0 and i > 0:
             zeros.append(float(ts[i]))
             continue
-        if a * b < 0.0:
+        if (a * b < 0.0 and not (at_start and i == 0)
+                and not (at_end and i == last)):
             lo, hi = 0.0, float(ts[i + 1] - ts[i])
             flo = a
             while hi - lo > refine_tol:
@@ -242,7 +220,7 @@ def equiregularity_loss_times(model, cov, T, step=1e-3, refine_tol=1e-10):
                 else:
                     lo, flo = mid, fm
             zeros.append(float(ts[i]) + 0.5 * (lo + hi))
-    if abs(s[-1]) <= 1e-12 and (not zeros or abs(zeros[-1] - ts[-1]) > 1e-9):
+    if at_end:
         zeros.append(float(ts[-1]))
 
     # dedupe within 1e-9
@@ -251,7 +229,7 @@ def equiregularity_loss_times(model, cov, T, step=1e-3, refine_tol=1e-10):
         if not out or z - out[-1] > 1e-9:
             out.append(z)
 
-    if model.kind == "cartan" or (model.kind == "goursat" and model.dim == 4):
+    if model.has_pendulum:
         chart = elliptic.classify_pendulum(model, cov)
         if chart.stratum in ("C1", "C2", "C3", "C6"):
             if chart.stratum in ("C1", "C2", "C3"):
@@ -303,7 +281,7 @@ def growth_report(model, cov, T=None, step=1e-3):
     """Assemble a GrowthReport (loss times only when a horizon T is given)."""
     entry = growth_vector_closed_form(model, cov)
     stratum = None
-    if model.kind == "cartan" or (model.kind == "goursat" and model.dim == 4):
+    if model.has_pendulum:
         if cov.as_float().is_unit_speed(1e-6):
             stratum = elliptic.classify_pendulum(model, cov.as_float()).stratum_label
     loss = None

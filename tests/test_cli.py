@@ -1,14 +1,25 @@
 """Command-line surface: subcommands, exit codes, determinism."""
+import hashlib
 import json
+
+import pytest
 
 from carnotcurv import cli
 from carnotcurv import oracle
+from carnotcurv.errors import IllConditioned
 
 
 def run(capsys, *args):
     code = cli.main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+# The SHA-256 digests below pin the exact stdout bytes these commands printed
+# before the per-group facts moved onto GroupModel; a refactor must keep them.
 
 
 class TestGeodesic:
@@ -54,12 +65,27 @@ class TestGeodesic:
                          "--covector", "1,zz,0", "--T", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("covector, want", [("nan,1,0,0", 2),
+                                                ("inf,1,0,0", 2),
+                                                ("1e400,1,0,0", 2),
+                                                ("1e200,1,0,0", 3)])
+    def test_non_finite_covector_writes_no_rows(self, capsys, covector, want):
+        # NaN input was once integrated and printed as NaN rows with exit 0;
+        # 1e200 overflows H, and a NaN drift must still trip the bound
+        code, out, err = run(capsys, "geodesic", "--group", "goursat:4",
+                             f"--covector={covector}")
+        assert code == want
+        assert out == ""
+        assert err.splitlines()[-1].startswith(("error:", "integrator error:"))
+
     def test_deterministic_output(self, capsys):
         args = ("geodesic", "--group", "goursat:4", "--covector",
                 "0,1,1,0.5", "--T", "0.5")
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+        assert sha256(out1) == ("b07275debf2df62b4b0dc26c41416e570b1a31f8"
+                                "8d542b5240054ec6c75f8416")
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "geodesic", "--group", "goursat:3",
@@ -103,6 +129,16 @@ class TestClassify:
         assert len(d["loss_times"]) >= 2
         gaps = d["loss_time_spacing"]
         assert max(gaps) - min(gaps) < 1e-8
+        assert sha256(out) == ("253b3c605f72ebc2cde27376cde53235fde7d428"
+                               "fe285d3eb0531db490e6047f")
+
+    def test_pole_near_zero_at_start(self, capsys):
+        # |h3| = 1e-9 is a zero for the closed form (a loss at t = 0); the
+        # integration scan once used 1e-12 there and the cross-check raised
+        code, out, _ = run(capsys, "classify", "--group", "cartan",
+                           "--covector", "1,0,1e-9,0.3,0.2", "--T", "3")
+        assert code == 0
+        assert json.loads(out)["loss_times"] == [0.0]
 
     def test_config_echo(self, capsys):
         code, out, _ = run(capsys, "classify", "--group", "cartan",
@@ -156,12 +192,14 @@ class TestVerify:
         f = tmp_path / "report.json"
         args = ("verify", "--suite", "exact", "--group", "goursat:3",
                 "--seed", "5", "--count", "10", "--out", str(f))
-        code, _, _ = run(capsys, *args)
+        code, out, _ = run(capsys, *args)
         assert code == 0
         first = f.read_bytes()
         code, _, _ = run(capsys, *args)
         assert code == 0
         assert f.read_bytes() == first
+        assert sha256(out) == ("3c5cbbe8eacf1d0ae3b1168cb32920e77bee142c"
+                               "dccecc04f311c41e68f2c01d")
 
     def test_failure_exit_6(self, capsys, monkeypatch):
         bad = oracle.CheckRow("forced", "exact", 1, 0, False)
@@ -171,6 +209,17 @@ class TestVerify:
                            "--group", "goursat:3")
         assert code == 6
         assert "FAILED" in out
+
+    def test_undecided_oracle_exit_6(self, capsys, monkeypatch):
+        def raise_ill(*a, **k):
+            raise IllConditioned("8/14 graph-map solves exceeded cond 1e+12")
+        monkeypatch.setattr(oracle, "run_fit_suite", raise_ill)
+        code, out, err = run(capsys, "verify", "--suite", "fit",
+                             "--group", "goursat:3")
+        assert code == 6
+        assert out == ""
+        assert err.splitlines() == [
+            "error: 8/14 graph-map solves exceeded cond 1e+12"]
 
 
 class TestSweep:
@@ -226,11 +275,18 @@ class TestSweep:
         assert code == 2
 
     def test_deterministic(self, capsys):
-        args = ("sweep", "--group", "goursat:4", "--grid",
-                "theta=0.4:2.8:3,c=0.5:1.5:2,alpha=-1:1:3")
-        _, out1, _ = run(capsys, *args)
-        _, out2, _ = run(capsys, *args)
-        assert out1 == out2
+        for group, grid, digest in (
+                ("goursat:4", "theta=0.4:2.8:3,c=0.5:1.5:2,alpha=-1:1:3",
+                 "ebee943833fdb6e5b7d886156894f8a5"
+                 "069f19281874505c51937216d02a681f"),
+                ("cartan", "theta=-3:3:4,c=0:1.5:3,alpha=0:1.2:3,beta=-1:1:2",
+                 "9ae4e146a4e28a8f2b761c3e2fb8901b"
+                 "c9e06c3e6bcbc72dbbcc806f35d71ba3")):
+            args = ("sweep", "--group", group, "--grid", grid)
+            _, out1, _ = run(capsys, *args)
+            _, out2, _ = run(capsys, *args)
+            assert out1 == out2
+            assert sha256(out1) == digest
 
 
 class TestUsage:

@@ -60,6 +60,26 @@ class TestBuild:
             groups_mod._MODEL_CACHE.pop("cartan", None)
             groups_mod.build_group("cartan")   # restore the cached model
 
+    def test_corrupt_inverse_fails_at_build(self, monkeypatch):
+        # A A^-1 = I is proved once per model, so fiber_transform can skip
+        # the per-call check; a wrong inverse must stop build_group instead
+        from carnotcurv import groups as groups_mod
+        real = groups_mod._unitriangular_inverse
+
+        def corrupted(a):
+            out = real(a)
+            out[0][-1] = out[0][-1] + 1
+            return out
+        monkeypatch.setattr(groups_mod, "_unitriangular_inverse", corrupted)
+        monkeypatch.delitem(groups_mod._MODEL_CACHE, "goursat:4", raising=False)
+        try:
+            with pytest.raises(SingularFrame):
+                groups_mod.build_group("goursat:4")
+        finally:
+            monkeypatch.undo()
+            groups_mod._MODEL_CACHE.pop("goursat:4", None)
+            groups_mod.build_group("goursat:4")   # restore the cached model
+
     def test_nilpotency(self, models):
         # brackets of total stratum weight above the step vanish
         for m in models.values():
