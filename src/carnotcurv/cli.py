@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: geodesic | classify | curvature | verify | sweep.
-Exit codes: 0 ok, 2 usage, 3 integrator, 4 not-ample-equiregular,
-5 singular-covector, 6 verification-failed (a check failed, or a numerical
-oracle could not decide: RankUnstable, IllConditioned, ShootingDiverged,
-StepUnbalanced, LemmaConditionFailed).
+Exit codes: 0 ok, 2 usage (also a --T/--step horizon that is not finite or
+needs more than hamiltonian.MAX_STEPS steps), 3 integrator,
+4 not-ample-equiregular, 5 singular-covector, 6 verification-failed (a check
+failed, or a numerical oracle could not decide: RankUnstable,
+IllConditioned, ShootingDiverged, StepUnbalanced, LemmaConditionFailed).
 
 Covectors are given in h-coordinates at the origin (where the frame is the
 coordinate basis).  Tokens parse as exact rationals when possible ("1",
@@ -27,7 +28,7 @@ from .errors import (CarnotError, IllConditioned, LemmaConditionFailed,
                      StepTooLarge, StepUnbalanced, UnsupportedGroup,
                      WrongStratum)
 from .groups import Covector, build_group
-from .hamiltonian import integrate_flow
+from .hamiltonian import integrate_flow, step_count
 from . import curvature as curvature_mod
 from . import elliptic
 from . import oracle
@@ -100,6 +101,7 @@ def _covector_from_args(model, args):
 
 
 def cmd_geodesic(args):
+    step_count(args.T, args.step)   # a bad horizon fails before any work
     model = build_group(args.group)
     cov = _covector_from_args(model, args)
     cfg = _config_dict(args, ("group", "covector", "T", "step", "format",
@@ -125,6 +127,7 @@ def cmd_geodesic(args):
 
 
 def cmd_classify(args):
+    step_count(args.T, args.step)
     model = build_group(args.group)
     cov = _covector_from_args(model, args)
     cfg = _config_dict(args, ("group", "covector", "T", "step", "format",

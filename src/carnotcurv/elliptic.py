@@ -101,10 +101,14 @@ def _carlson_rf(x, y, z):
     return (1 - e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44) / math.sqrt(mu)
 
 
-def inverse_sn(s, k):
-    """u in [-K, K] with sn(u, k) = s (and cn >= 0), for s in [-1, 1]."""
+def inverse_sn(s, k, cn):
+    """u in [-K, K] with sn(u, k) = s (and cn >= 0), for s in [-1, 1].
+
+    cn is the matching cn value; only cn^2 is used.  It is taken instead of
+    1 - s^2, which cancels near |s| = 1 and loses half the digits of u.
+    """
     s = max(-1.0, min(1.0, s))
-    return s * _carlson_rf(1.0 - s * s, 1.0 - (k * s) * (k * s), 1.0)
+    return s * _carlson_rf(cn * cn, 1.0 - (k * s) * (k * s), 1.0)
 
 
 STRATA = ("C1", "C2", "C3", "C4", "C5", "C6", "C7")
@@ -220,7 +224,8 @@ def elliptic_coords(model, cov, tol=1e-10):
         sn = s_half / k
         cn = (0.5 * c) / (k * sa)
         K = complete_K(k)
-        u = inverse_sn(abs(sn), k)
+        # cn from c: sn near +-1 is the Cartan pole h3 near 0
+        u = inverse_sn(abs(sn), k, cn)
         if sn >= 0 and cn >= 0:
             pass
         elif sn >= 0 > cn:
@@ -234,8 +239,9 @@ def elliptic_coords(model, cov, tol=1e-10):
         k = math.sqrt(2.0 * alpha / (E + alpha))
         K = complete_K(k)
         sn = chart.csign * s_half
-        # cn = cos(psi/2) >= 0 on the principal branch; representative mod 2K
-        u = inverse_sn(sn, k)
+        # cn = cos(psi/2) >= 0 on the principal branch; representative mod
+        # 2K.  sn near +-1 is a zero of the Engel pole h1
+        u = inverse_sn(sn, k, c_half)
         phi = k * u / sa
     else:
         k = 1.0

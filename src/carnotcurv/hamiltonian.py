@@ -8,6 +8,7 @@ an error rather than a silent failure.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -211,6 +212,29 @@ class Trajectory:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
+MAX_STEPS = 10 ** 6
+
+
+def step_count(T, step):
+    """Number of RK4 steps for horizon T at the given step size.
+
+    Raises ValueError unless T is finite and nonzero, step is finite and
+    positive, and round(|T| / step) is at most MAX_STEPS.
+    """
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
+    if not abs(T) < math.inf:
+        raise ValueError(f"T must be finite, got {T}")
+    if T == 0:
+        raise ValueError("T must be nonzero")
+    # round(x) > MAX_STEPS exactly when x > MAX_STEPS + 0.5 (ties to even)
+    if not abs(T) / step <= MAX_STEPS + 0.5:
+        raise ValueError(
+            f"|T|/step = {abs(T) / step:.3g} exceeds {MAX_STEPS} steps; "
+            f"shorten T or enlarge the step")
+    return max(1, int(round(abs(T) / step)))
+
+
 def integrate_flow(model, cov, T, step=1e-3, with_variational=False,
                    store_every=1, drift_bound=1e-8, richardson=False):
     """Classical fixed-step RK4 on the 2n-dim system (plus 2n x 2n variational).
@@ -222,47 +246,50 @@ def integrate_flow(model, cov, T, step=1e-3, with_variational=False,
     (16 y_{h/2} - y_h)/15, eliminating the h^4 truncation term (the deep
     rows of the Jacobi-curve fit need this).
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if T == 0:
-        raise ValueError("T must be nonzero")
-    if richardson:
-        t1 = integrate_flow(model, cov, T, step, with_variational,
-                            store_every, drift_bound=None)
-        t2 = integrate_flow(model, cov, T, step / 2, with_variational,
-                            2 * store_every, drift_bound=None)
-        ys = (16.0 * t2.ys - t1.ys) / 15.0
-        Ms = None
-        if with_variational:
-            Ms = (16.0 * t2.Ms - t1.Ms) / 15.0
-        traj = Trajectory(model, t1.ts, ys, Ms)
-    else:
-        cf = compiled_flow(model)
-        n = model.dim
-        y = np.array([float(v) for v in cov.xp()])
-        nsteps = max(1, int(round(abs(T) / step)))
-        hstep = math.copysign(abs(T) / nsteps, T)
+    nsteps = step_count(T, step)
+    # an overflowing covector is reported once, by the drift check (a NaN
+    # drift fails it); without a check numpy's warnings stay on
+    quiet = (np.errstate(over="ignore", invalid="ignore")
+             if drift_bound is not None else contextlib.nullcontext())
+    with quiet:
+        if richardson:
+            t1 = integrate_flow(model, cov, T, step, with_variational,
+                                store_every, drift_bound=None)
+            t2 = integrate_flow(model, cov, T, step / 2, with_variational,
+                                2 * store_every, drift_bound=None)
+            ys = (16.0 * t2.ys - t1.ys) / 15.0
+            Ms = None
+            if with_variational:
+                Ms = (16.0 * t2.Ms - t1.Ms) / 15.0
+            traj = Trajectory(model, t1.ts, ys, Ms)
+        else:
+            cf = compiled_flow(model)
+            n = model.dim
+            y = np.array([float(v) for v in cov.xp()])
+            hstep = math.copysign(abs(T) / nsteps, T)
 
-        # rk4_step returns fresh arrays, so the stored samples need no copy
-        M = np.eye(2 * n) if with_variational else None
-        ts, ys, Ms = [0.0], [y], [M]
-        t = 0.0
-        for k in range(nsteps):
-            y, M = rk4_step(cf, y, hstep, M)
-            t += hstep
-            if (k + 1) % store_every == 0 or k == nsteps - 1:
-                ts.append(t)
-                ys.append(y)
-                Ms.append(M)
+            # rk4_step returns fresh arrays, so the stored samples need no
+            # copy
+            M = np.eye(2 * n) if with_variational else None
+            ts, ys, Ms = [0.0], [y], [M]
+            t = 0.0
+            for k in range(nsteps):
+                y, M = rk4_step(cf, y, hstep, M)
+                t += hstep
+                if (k + 1) % store_every == 0 or k == nsteps - 1:
+                    ts.append(t)
+                    ys.append(y)
+                    Ms.append(M)
 
-        traj = Trajectory(model, np.array(ts), np.array(ys),
-                          np.array(Ms) if with_variational else None)
-    if drift_bound is not None:
+            traj = Trajectory(model, np.array(ts), np.array(ys),
+                              np.array(Ms) if with_variational else None)
+        if drift_bound is None:
+            return traj
         drift = traj.conservation_drift()
-        if not drift <= drift_bound:
-            raise StepTooLarge(
-                f"H drift {drift:.3e} exceeds bound {drift_bound:.3e}; "
-                f"reduce the step size")
+    if not drift <= drift_bound:
+        raise StepTooLarge(
+            f"H drift {drift:.3e} exceeds bound {drift_bound:.3e}; "
+            f"reduce the step size")
     return traj
 
 

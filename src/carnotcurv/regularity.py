@@ -26,8 +26,8 @@ _RANK_TOL = 1e-8
 _GAP_RATIO = 1e2
 _NOISE_CEIL = 1e-10
 # a float pole coordinate at most this large counts as zero, in the growth
-# criteria and at both ends of the loss-time scan alike (the elliptic closed
-# form cannot place a zero closer to an end than that either)
+# criteria and at both ends of the loss-time scan alike (the closed-form
+# cross-check of the scan applies the same end rule)
 _ZERO_TOL = 1e-9
 
 
@@ -235,6 +235,16 @@ def equiregularity_loss_times(model, cov, T, step=1e-3, refine_tol=1e-10):
             if chart.stratum in ("C1", "C2", "C3"):
                 chart = elliptic.elliptic_coords(model, cov)
             predicted = elliptic.pole_zero_times(chart, T)
+            # the scan's end rule on the closed form: a pole within
+            # _ZERO_TOL at t = 0 or T is a zero there, even where the exact
+            # zero lies a hair outside [0, T]
+            if (abs(chart.h0[col]) <= _ZERO_TOL
+                    and not (predicted and predicted[0] <= 1e-6)):
+                predicted.insert(0, 0.0)
+            if (abs(elliptic.pendulum_closed_form(chart, T)[col])
+                    <= _ZERO_TOL and not (predicted
+                                          and predicted[-1] >= T - 1e-6)):
+                predicted.append(T)
             if len(predicted) != len(out) or any(
                     abs(a - b) > 1e-6 for a, b in zip(predicted, out)):
                 raise RuntimeError(

@@ -21,8 +21,10 @@ Hamilton equations come out in the standard form xdot = dH/dp, pdot = -dH/dx.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from functools import reduce
+from heapq import heapify, heappop, heappush
+from math import gcd
+from operator import add, sub
 
 from .errors import DimensionMismatch
 
@@ -252,31 +254,67 @@ class Poly:
         return Poly(nvars, terms, self.content, normalized=True)
 
     def exact_div(self, d):
-        """Return self / d if the division is exact, else None."""
+        """Return self / d if the division is exact, else None.
+
+        The quotient's terms come out in descending deglex order (float
+        evaluation sums them in that order).  Dividing by a one-term divisor
+        only shifts exponents.  Otherwise the remainder's monomials sit in a
+        heap, so each quotient term finds the leading one by a pop rather
+        than by a scan of the whole remainder (Johnson 1974; Monagan &
+        Pearce, CASC 2007).
+        """
         if d.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero:
             return self
+        ratio = Fraction(self.content / d.content)
+        if len(d.terms) == 1:
+            ((dlead, dlc),) = d.terms.items()
+            return self._div_monomial(dlead, ratio / dlc)
         dlead = max(d.terms, key=_degkey)
         dlc = d.terms[dlead]
+        rest = [(e, c) for e, c in d.terms.items() if e != dlead]
         rem = dict(self.terms)
+        heap = [(-sum(e), tuple(-k for k in e), e) for e in rem]
+        heapify(heap)
         quo = {}
-        while rem:
-            lt = max(rem, key=_degkey)
-            qe = tuple(a - b for a, b in zip(lt, dlead))
-            if any(k < 0 for k in qe):
+        while heap:
+            lt = heappop(heap)[2]
+            c = rem.pop(lt, None)
+            if c is None:
+                # stale entry: the term cancelled, or was pushed twice
+                continue
+            qe = tuple(map(sub, lt, dlead))
+            if min(qe) < 0:
                 return None
-            qc = Fraction(rem[lt], dlc)
-            quo[qe] = quo.get(qe, _ZERO) + qc
-            for e, c in d.terms.items():
-                te = tuple(a + b for a, b in zip(qe, e))
-                v = rem.get(te, 0) - qc * c
-                if v:
-                    rem[te] = v
-                elif te in rem:
-                    del rem[te]
+            qc = Fraction(c, dlc)
+            quo[qe] = qc
+            # every product below is smaller than lt, so lt never returns
+            for e, dc in rest:
+                te = tuple(map(add, qe, e))
+                v = rem.get(te)
+                if v is None:
+                    rem[te] = -qc * dc
+                    heappush(heap, (-sum(te), tuple(-k for k in te), te))
+                else:
+                    v -= qc * dc
+                    if v:
+                        rem[te] = v
+                    else:
+                        del rem[te]
         q = Poly.from_terms(self.nvars, quo)
-        return q * (self.content / d.content)
+        return Poly(self.nvars, q.terms, q.content * ratio, normalized=True)
+
+    def _div_monomial(self, dlead, ratio):
+        """self / x^dlead, or None when some term lacks a factor of it."""
+        need = [(i, k) for i, k in enumerate(dlead) if k]
+        for e in self.terms:
+            for i, k in need:
+                if e[i] < k:
+                    return None
+        terms = {tuple(map(sub, e, dlead)): self.terms[e]
+                 for e in sorted(self.terms, key=_degkey, reverse=True)}
+        return Poly(self.nvars, terms, ratio, normalized=True)
 
     # -- printing --------------------------------------------------------
     def to_str(self, names):

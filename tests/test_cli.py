@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -71,12 +72,36 @@ class TestGeodesic:
                                                 ("1e200,1,0,0", 3)])
     def test_non_finite_covector_writes_no_rows(self, capsys, covector, want):
         # NaN input was once integrated and printed as NaN rows with exit 0;
-        # 1e200 overflows H, and a NaN drift must still trip the bound
-        code, out, err = run(capsys, "geodesic", "--group", "goursat:4",
-                             f"--covector={covector}")
+        # 1e200 overflows H, and a NaN drift must still trip the bound.  The
+        # overflow once also printed four numpy RuntimeWarnings first.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "geodesic", "--group", "goursat:4",
+                                 f"--covector={covector}")
         assert code == want
         assert out == ""
-        assert err.splitlines()[-1].startswith(("error:", "integrator error:"))
+        assert len(err.splitlines()) == 1
+        assert err.startswith(("error:", "integrator error:"))
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("command", ["geodesic", "classify"])
+    @pytest.mark.parametrize("horizon", [("--T", "inf"), ("--T", "nan"),
+                                         ("--step", "1e-300")],
+                             ids=["T-inf", "T-nan", "step-1e-300"])
+    def test_unbounded_horizon_exit_2(self, capsys, monkeypatch, command,
+                                      horizon):
+        # --T inf once ended in an OverflowError traceback, --T nan in a bare
+        # "cannot convert float NaN to integer", and --step 1e-300 looped
+        # with growing memory; the horizon is now refused before any work
+        def no_model(spec):
+            raise AssertionError("the horizon must be checked first")
+
+        monkeypatch.setattr(cli, "build_group", no_model)
+        code, out, err = run(capsys, command, "--group", "goursat:4",
+                             "--covector", "1,0,0,0", *horizon)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
 
     def test_deterministic_output(self, capsys):
         args = ("geodesic", "--group", "goursat:4", "--covector",
@@ -139,6 +164,22 @@ class TestClassify:
                            "--covector", "1,0,1e-9,0.3,0.2", "--T", "3")
         assert code == 0
         assert json.loads(out)["loss_times"] == [0.0]
+
+    @pytest.mark.parametrize("group, covector, T, nzeros", [
+        ("cartan", "1,0,2e-9,0.3,0.2", "3", 0),
+        ("cartan", "1,0,0,1,0", "6", 2),
+        ("goursat:4", "0,1,1,0", "3.14159265358", 2),
+        ("goursat:4", "5e-9,-1,0.5,0.3", "2", 0)])
+    def test_pole_near_zero_cross_check(self, capsys, group, covector, T,
+                                        nzeros):
+        # the C1 and C2 charts once took cn^2 = 1 - sn^2 by cancellation,
+        # and the closed form ignored the scan's end rule (a pole within 1e-9
+        # at t = 0 or T is a zero there); each raised the cross-check
+        # RuntimeError
+        code, out, _ = run(capsys, "classify", "--group", group,
+                           "--covector", covector, "--T", T)
+        assert code == 0
+        assert len(json.loads(out)["loss_times"]) == nzeros
 
     def test_config_echo(self, capsys):
         code, out, _ = run(capsys, "classify", "--group", "cartan",

@@ -69,9 +69,19 @@ class TestJacobiFunctions:
         for _ in range(500):
             k = float(rng.uniform(0, 0.999))
             s = float(rng.uniform(-1, 1))
-            u = inverse_sn(s, k)
+            u = inverse_sn(s, k, math.sqrt(1 - s * s))
             sn, cn, _ = jacobi_sn_cn_dn(u, k)
             assert abs(sn - s) < 1e-12 and cn >= -1e-12
+
+    def test_inverse_sn_near_quarter_period(self):
+        # |sn| near 1, where 1 - sn^2 cancels: u comes back to near-full
+        # precision only because cn is passed
+        for k in (0.0, 0.5, 0.9):
+            K = complete_K(k)
+            for d in (1e-3, 1e-6, 1e-9):
+                for u0 in (K - d, d - K):
+                    sn, cn, _ = jacobi_sn_cn_dn(u0, k)
+                    assert abs(inverse_sn(sn, k, cn) - u0) < 1e-14 * K
 
 
 class TestCompleteK:

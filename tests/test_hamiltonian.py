@@ -7,9 +7,9 @@ import pytest
 
 from carnotcurv.errors import StepTooLarge
 from carnotcurv.groups import Covector, engel_h_from_chart
-from carnotcurv.hamiltonian import (conserved_quantities, fiber_rhs,
-                                    fiber_rhs_via_canonical, flow_rhs,
-                                    integrate_flow)
+from carnotcurv.hamiltonian import (MAX_STEPS, conserved_quantities,
+                                    fiber_rhs, fiber_rhs_via_canonical,
+                                    flow_rhs, integrate_flow, step_count)
 
 
 class TestFlowRhs:
@@ -125,6 +125,20 @@ class TestIntegrate:
             integrate_flow(m, cov, 0.0)
         with pytest.raises(ValueError):
             integrate_flow(m, cov, 1.0, step=-1e-3)
+        # a non-finite horizon once raised OverflowError or ran one step
+        for T, step in ((math.inf, 1e-3), (-math.inf, 1e-3), (1.0, math.inf),
+                        (1e300, 1e-300)):
+            with pytest.raises(ValueError):
+                integrate_flow(m, cov, T, step)
+
+    def test_step_count_cap(self):
+        # without a cap, a tiny step looped with growing memory
+        assert step_count(1.0, 1e-6) == MAX_STEPS
+        assert step_count(-2.0, 1e-3) == 2000
+        for T, step in ((1.0, 1.0 / (MAX_STEPS + 1)), (1.0, 1e-300),
+                        (math.nan, 1e-3), (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                step_count(T, step)
 
 
 class TestConservedQuantities:
