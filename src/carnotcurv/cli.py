@@ -2,7 +2,8 @@
 
 Subcommands: geodesic | classify | curvature | verify | sweep.
 Exit codes: 0 ok, 2 usage (also a --T/--step horizon that is not finite or
-needs more than hamiltonian.MAX_STEPS steps), 3 integrator,
+needs more than hamiltonian.MAX_STEPS steps, and a curvature or sweep value
+that is not a finite float), 3 integrator,
 4 not-ample-equiregular, 5 singular-covector, 6 verification-failed (a check
 failed, or a numerical oracle could not decide: RankUnstable,
 IllConditioned, ShootingDiverged, StepUnbalanced, LemmaConditionFailed).
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -33,6 +35,7 @@ from . import curvature as curvature_mod
 from . import elliptic
 from . import oracle
 from . import regularity
+from .tolerances import DRIFT_TOL, STRATUM_TOL
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -156,13 +159,25 @@ def cmd_curvature(args):
     cov = _covector_from_args(model, args)
     cfg = _config_dict(args, ("group", "covector", "format", "out", "seed"))
     report = curvature_mod.curvature_operator(model, cov)
-    payload = report.to_dict()
+    # an exact R11 beyond the float range would end in an OverflowError
+    try:
+        payload = report.to_dict()
+        finite = all(math.isfinite(payload[k])
+                     for k in ("r11_float", "bound_float")
+                     if payload[k] is not None)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise UsageError(f"R11 or its bound at covector {args.covector} is "
+                         "beyond the float range")
     payload["config"] = cfg
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_verify(args):
+    if args.count < 0:
+        raise UsageError(f"--count must be >= 0, got {args.count}")
     groups = [args.group] if args.group else list(_VERIFY_GROUPS)
     cfg = _config_dict(args, ("group", "suite", "count", "out", "seed"))
     rows = []
@@ -211,6 +226,9 @@ def _parse_grid(text, names):
                              "expected name=lo:hi:count") from None
         if key not in names:
             raise UsageError(f"unknown grid axis {key!r}; expected {names}")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise UsageError(f"grid axis {key!r} needs finite bounds, "
+                             f"got {lo}:{hi}")
         if cnt < 1:
             raise UsageError(f"grid axis {key!r} needs count >= 1")
         axes[key] = [lo + (hi - lo) * i / max(cnt - 1, 1) for i in range(cnt)]
@@ -243,19 +261,32 @@ def cmd_sweep(args):
     header = list(names) + [f"h{i+1}" for i in range(n)] + \
         ["stratum", "growth", "r11", "E", "slack"]
     out_rows = []
+
+    def refuse(chart_pt, what):
+        # no rows are written: the table is emitted only after every point
+        point = ", ".join(f"{k}={v:.17g}" for k, v in zip(names, chart_pt))
+        raise UsageError(f"sweep point {point} gives non-finite {what}")
+
     for chart_pt in rows():
         h = model.h_from_chart(*chart_pt)
+        if not all(map(math.isfinite, h)):
+            refuse(chart_pt, f"h = {h}")
         cov = Covector.from_h(model, h)
         chart = elliptic.classify_pendulum(model, cov, tol=args.tol_class)
         entry = regularity.growth_vector_closed_form(model, cov)
         growth = "(" + " ".join(map(str, entry.growth)) + ")"
         E = model.energy(h)
+        values = [E]
         try:
             r = curvature_mod.r11(model, cov)
             slack = curvature_mod.energy_bound(model, cov) - r
+            values += [r, slack]
             r_s, slack_s = f"{r:.17g}", f"{slack:.17g}"
         except SingularCovector:
             r_s, slack_s = "singular", "singular"
+        if not all(map(math.isfinite, values)):
+            refuse(chart_pt, f"values (E = {E:.17g}, r11 = {r_s}, "
+                             f"slack = {slack_s})")
         out_rows.append(list(chart_pt) + [f"{v:.17g}" for v in h]
                         + [chart.stratum_label, growth, r_s,
                            f"{E:.17g}", slack_s])
@@ -295,7 +326,7 @@ def build_parser():
     sp.add_argument("--T", type=float, default=1.0)
     sp.add_argument("--step", type=float, default=1e-3)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--tol-drift", type=float, default=1e-8,
+    sp.add_argument("--tol-drift", type=float, default=DRIFT_TOL,
                     help="conserved-quantity drift bound")
     sp.set_defaults(func=cmd_geodesic)
 
@@ -304,7 +335,7 @@ def build_parser():
     sp.add_argument("--T", type=float, default=10.0)
     sp.add_argument("--step", type=float, default=1e-3)
     sp.add_argument("--format", choices=("json",), default="json")
-    sp.add_argument("--tol-class", type=float, default=1e-10,
+    sp.add_argument("--tol-class", type=float, default=STRATUM_TOL,
                     help="stratum boundary tolerance")
     sp.set_defaults(func=cmd_classify)
 
@@ -327,7 +358,7 @@ def build_parser():
     common(sp, covector=False)
     sp.add_argument("--grid", help="axes, e.g. theta=-3:3:7,c=0.5:2:4,alpha=-1:1:5")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--tol-class", type=float, default=1e-10)
+    sp.add_argument("--tol-class", type=float, default=STRATUM_TOL)
     sp.set_defaults(func=cmd_sweep)
     return p
 

@@ -15,9 +15,9 @@ import math
 from fractions import Fraction
 
 from .errors import NotAmpleEquiregular, SingularCovector
+from .groups import is_exact_seq
 from .regularity import growth_vector_closed_form
-
-_POLE_TOL = 1e-8
+from .tolerances import POLE_TOL
 
 
 def coeff_A(n):
@@ -57,8 +57,12 @@ def omega(n_a, n_b):
     return Fraction(n_a, 4 * n_a * n_a - 1)
 
 
-def _exactish(values):
-    return all(isinstance(v, (int, Fraction)) for v in values)
+def check_pole(value, exact, name):
+    """Raise SingularCovector where R11 has its pole: the pole coordinate
+    (called name) is exactly 0, or a float below POLE_TOL in size."""
+    if (value == 0) if exact else (abs(value) < POLE_TOL):
+        raise SingularCovector(
+            f"{name} vanishes: R11 has a pole there (loss of equiregularity)")
 
 
 def r11_goursat(n, h, unchecked=False):
@@ -68,21 +72,19 @@ def r11_goursat(n, h, unchecked=False):
     R11 = -(1/6)(n-1)(12 + n(4n-17))(h3^2 + h2 h4)
           - (n-1)(n-2)(n-3) h3^2 h2^2 / h1^2,
     with h4 = 0 when n = 3 (where the singular term has zero coefficient).
-    The h1 = 0 pole coincides with loss of equiregularity; floats within
-    1e-8 of it raise SingularCovector unless unchecked.
+    The h1 = 0 pole coincides with loss of equiregularity; check_pole
+    raises SingularCovector there unless unchecked.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
-    exact = _exactish(h)
+    exact = is_exact_seq(h)
     h1, h2, h3 = h[0], h[1], h[2]
     h4 = h[3] if n >= 4 else 0
     lead = Fraction(-(n - 1) * (12 + n * (4 * n - 17)), 6)
     if n == 3:
         return lead * (h3 * h3) if exact else float(lead) * h3 * h3
     if not unchecked:
-        if (exact and h1 == 0) or (not exact and abs(h1) < _POLE_TOL):
-            raise SingularCovector(
-                "h1 vanishes: R11 has a pole there (loss of equiregularity)")
+        check_pole(h1, exact, "h1")
     sing = -(n - 1) * (n - 2) * (n - 3)
     if exact:
         return (lead * (h3 * h3 + h2 * h4)
@@ -94,12 +96,10 @@ def r11_goursat(n, h, unchecked=False):
 def r11_cartan(h, unchecked=False):
     """R11 for the Cartan group: 6E - (8/h3^2)(h1 h4 + h2 h5)^2
     with E = h3^2/2 + h1 h5 - h2 h4."""
-    exact = _exactish(h)
+    exact = is_exact_seq(h)
     h1, h2, h3, h4, h5 = h
     if not unchecked:
-        if (exact and h3 == 0) or (not exact and abs(h3) < _POLE_TOL):
-            raise SingularCovector(
-                "h3 vanishes: R11 has a pole there (loss of equiregularity)")
+        check_pole(h3, exact, "h3")
     cross = h1 * h4 + h2 * h5
     if exact:
         return (3 * h3 * h3 + 6 * (h1 * h5 - h2 * h4)
@@ -177,14 +177,14 @@ class CurvatureReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def curvature_operator(model, cov, unit_tol=1e-9):
+def curvature_operator(model, cov):
     """Assemble the CurvatureReport; requires ample & equiregular at t = 0.
 
     A vanishing pole coordinate raises SingularCovector (it coincides with
     loss of equiregularity); other regularity violations raise
     NotAmpleEquiregular.
     """
-    if not cov.is_unit_speed(unit_tol):
+    if not cov.is_unit_speed():
         raise NotAmpleEquiregular(
             f"curvature is defined for unit-speed covectors; 2H = {2 * float(cov.H)}")
     value = r11(model, cov)

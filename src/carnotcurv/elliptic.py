@@ -22,6 +22,7 @@ import math
 
 from .errors import (ModulusOutOfRange, NotUnitSpeed, UnsupportedGroup,
                      WrongStratum)
+from .tolerances import STRATUM_TOL, ZERO_TIME_WINDOW
 
 _AGM_ITERS = 12
 
@@ -145,7 +146,15 @@ class PendulumChart:
                 f"{extra}, abnormal={self.abnormal})")
 
 
-def _chart_data(model, cov, tol):
+def classify_pendulum(model, cov, tol=STRATUM_TOL):
+    """Assign the unique pendulum stratum of a unit-speed covector.
+
+    Boundary membership (C3/C4/C5) is decided within tol on |E -+ alpha| and
+    |c|; a float input within tol of a separating boundary (but not exactly
+    on it) is flagged boundary_uncertain rather than silently trusted.
+    """
+    if not cov.is_unit_speed():
+        raise NotUnitSpeed(f"classification needs h1^2+h2^2 = 1, got 2H = {2 * float(cov.H)}")
     if not model.has_pendulum:
         raise UnsupportedGroup(
             "pendulum classification is defined for the Engel group "
@@ -157,25 +166,10 @@ def _chart_data(model, cov, tol):
         beta = None
         sign = "+" if alpha > 0 else ("-" if alpha < 0 else None)
         alpha = abs(alpha)
-        abnormal = abs(h[0]) <= tol and abs(h[2]) <= tol
     else:
         beta = cov.beta if alpha > 0 else 0.0
         offset = beta
         sign = None
-        abnormal = abs(h[2]) <= tol and abs(h[0] * h[3] + h[1] * h[4]) <= tol
-    return h, theta, c, alpha, E, beta, offset, sign, abnormal
-
-
-def classify_pendulum(model, cov, tol=1e-10, unit_tol=1e-9):
-    """Assign the unique pendulum stratum of a unit-speed covector.
-
-    Boundary membership (C3/C4/C5) is decided within tol on |E -+ alpha| and
-    |c|; a float input within tol of a separating boundary (but not exactly
-    on it) is flagged boundary_uncertain rather than silently trusted.
-    """
-    if not cov.is_unit_speed(unit_tol):
-        raise NotUnitSpeed(f"classification needs h1^2+h2^2 = 1, got 2H = {2 * float(cov.H)}")
-    h, theta, c, alpha, E, beta, offset, sign, abnormal = _chart_data(model, cov, tol)
 
     dists = [abs(alpha)] if alpha <= tol else [alpha, abs(E - alpha), abs(E + alpha)]
     if alpha <= tol:
@@ -197,10 +191,11 @@ def classify_pendulum(model, cov, tol=1e-10, unit_tol=1e-9):
                          alpha=alpha, beta=beta, angle_offset=offset,
                          theta0=theta, c0=c, h0=tuple(h), k=None, phi=None,
                          K=None, csign=1.0 if c >= 0 else -1.0,
-                         boundary_uncertain=uncertain, abnormal=abnormal)
+                         boundary_uncertain=uncertain,
+                         abnormal=model.is_abnormal(h, tol))
 
 
-def elliptic_coords(model, cov, tol=1e-10):
+def elliptic_coords(model, cov, tol=STRATUM_TOL):
     """Elliptic coordinates (k, phi, alpha[, beta]) on C1, C2, C3.
 
     Returns the completed PendulumChart; raises WrongStratum elsewhere.
@@ -347,9 +342,9 @@ def _append_lattice(out, chart, T, period_u, offset_u, scale=1.0):
     while True:
         u = offset_u + period_u * m
         t = (u - u0) / rate
-        if t > T + 1e-12:
+        if t > T + ZERO_TIME_WINDOW:
             break
-        if t >= -1e-12:
+        if t >= -ZERO_TIME_WINDOW:
             out.append(max(0.0, t))
         m += 1
 
@@ -361,5 +356,5 @@ def _append_trig(out, chart, T):
     hi = (chart.theta0 + max(0.0, T * c)) / math.pi
     for m in range(math.floor(lo) - 1, math.ceil(hi) + 2):
         t = (math.pi * m - chart.theta0) / c
-        if -1e-12 <= t <= T + 1e-12:
+        if -ZERO_TIME_WINDOW <= t <= T + ZERO_TIME_WINDOW:
             out.append(min(max(t, 0.0), T))

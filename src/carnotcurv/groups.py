@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .errors import SingularFrame, UnsupportedGroup, RealizationMismatch
 from .symfields import Poly, Rat, RatVecField
+from .tolerances import UNIT_SPEED_TOL
 
 _F = Fraction
 
@@ -72,6 +73,7 @@ class GroupModel:
       Goursat family and h3 in the Cartan group; goursat:3 has no pole.
     * has_pendulum, energy(h), energy_factor: the Engel and Cartan vertical
       flows are a pendulum with energy E, and R11 <= energy_factor * E.
+    * is_abnormal(h, tol): the abnormality test, decided at t = 0.
     * invariant_cols: the 0-based fiber columns the flow conserves.
     * circle(theta), chart_axes, h_from_chart: the chart convention.
     * default_max_order: the bracket order the rank oracle goes up to.
@@ -123,6 +125,17 @@ class GroupModel:
             e = e + h[0] * h[4]
         return e - h[1] * h[3]
 
+    def is_abnormal(self, h, tol):
+        """True where the geodesic with fiber point h is abnormal: h1 = h3 = 0
+        (Goursat) or h3 = h1 h4 + h2 h5 = 0 (Cartan), each zero meaning at
+        most tol in size (tol = 0 is the exact test).  goursat:3 has none.
+        """
+        if not self.has_pole or abs(h[2]) > tol:
+            return False
+        if self.kind == "goursat":
+            return abs(h[0]) <= tol
+        return abs(h[0] * h[3] + h[1] * h[4]) <= tol
+
     def memo(self, build):
         """build(self), computed on first use and kept for the model's life."""
         value = self._memo.get(build)
@@ -142,15 +155,6 @@ class GroupModel:
         if (j, i) in self.structure:
             return {k: -v for k, v in self.structure[(j, i)].items()}
         return {}
-
-    def layer_of(self, i):
-        """Stratum index (1-based) of the generator X_i."""
-        acc = 0
-        for l, d in enumerate(self.strata, start=1):
-            acc += d
-            if i <= acc:
-                return l
-        raise ValueError(f"generator index {i} out of range")  # pragma: no cover
 
     def __repr__(self):
         return f"GroupModel({self.spec_string})"
@@ -272,7 +276,7 @@ def build_group(spec):
     return model
 
 
-def _is_exact_seq(vals):
+def is_exact_seq(vals):
     return all(isinstance(v, (int, Fraction)) for v in vals)
 
 
@@ -285,7 +289,7 @@ def fiber_transform(model, base):
     base = tuple(base)
     if len(base) != model.dim:
         raise SingularFrame(f"base point must have dim {model.dim}")
-    if _is_exact_seq(base):
+    if is_exact_seq(base):
         base = tuple(Fraction(v) for v in base)
     a = tuple(tuple(p.eval(base) for p in row) for row in model.a_base)
     ainv = tuple(tuple(p.eval(base) for p in row) for row in model.a_inv_base)
@@ -311,7 +315,7 @@ class Covector:
         p = tuple(p)
         if len(base) != model.dim or len(p) != model.dim:
             raise SingularFrame(f"covector needs {model.dim} base and p entries")
-        if _is_exact_seq(base) and _is_exact_seq(p):
+        if is_exact_seq(base) and is_exact_seq(p):
             base = tuple(Fraction(v) for v in base)
             p = tuple(Fraction(v) for v in p)
         else:
@@ -334,7 +338,7 @@ class Covector:
         h = tuple(h)
         if len(h) != model.dim:
             raise SingularFrame(f"h must have {model.dim} entries")
-        if _is_exact_seq(base) and _is_exact_seq(h):
+        if is_exact_seq(base) and is_exact_seq(h):
             h = tuple(Fraction(v) for v in h)
         p = _mat_apply(ainv, h)
         return cls(model, base, p)
@@ -370,7 +374,7 @@ class Covector:
         return Covector(self.model, tuple(map(float, self.base)),
                         tuple(map(float, self.p)))
 
-    def is_unit_speed(self, tol=1e-9):
+    def is_unit_speed(self, tol=UNIT_SPEED_TOL):
         if self.exact:
             return 2 * self.H == 1
         return abs(2 * self.H - 1) <= tol

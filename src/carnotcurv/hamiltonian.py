@@ -16,6 +16,7 @@ import numpy as np
 from .errors import StepTooLarge
 from .frames import frame_fields
 from .groups import Covector
+from .tolerances import DRIFT_TOL
 
 class CompiledFlow:
     """Generated numeric callables for one model."""
@@ -236,7 +237,7 @@ def step_count(T, step):
 
 
 def integrate_flow(model, cov, T, step=1e-3, with_variational=False,
-                   store_every=1, drift_bound=1e-8, richardson=False):
+                   store_every=1, drift_bound=DRIFT_TOL, richardson=False):
     """Classical fixed-step RK4 on the 2n-dim system (plus 2n x 2n variational).
 
     T may be negative (backward flow).  Raises StepTooLarge when the

@@ -23,12 +23,32 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (IllConditioned, IndexOutOfRange, LemmaConditionFailed,
-                     ShootingDiverged, SingularCovector, StepUnbalanced)
+                     ShootingDiverged, StepUnbalanced)
 from .frames import h_frame
 from .groups import Covector, fiber_transform
 from .hamiltonian import compiled_flow, integrate_flow
 from .symfields import Poly, Rat, sigma_pair
+from .tolerances import (CLOSURE_TOL, DRIFT_TOL, FIT_COND_MAX, FIT_LEAD_TOL,
+                         FIT_LIN_TOL, NORM_TOL, PAIRING_TOL, PROBE_BALANCE_TOL,
+                         PROBE_REL_TOL, PROBE_UNIT_TOL, SCAN_DRIFT_TOL,
+                         SHOOT_TOL)
 from . import curvature as _curv
+
+# Laurent fit: RK4 step, and the geomspace (start, stop, num) of its t-grid
+_FIT_STEP = 1e-4
+_FIT_T_GEOM = (0.008, 0.06, 14)
+# offsets of the Richardson-extrapolated pull-back derivative
+_PULLBACK_STEPS = (1e-3, 1e-4)
+# cost probe: x offset, tau offset over t, RK4 step, Newton iteration cap
+_PROBE_H = 2e-3
+_PROBE_DT_FRAC = 0.05
+_PROBE_STEP = 1e-3
+_NEWTON_MAX_ITER = 50
+# exact random covectors: |pole| >= _EXACT_POLE_MIN, and h3.. are k/9 with
+# |k| <= _EXACT_NINTHS
+_EXACT_POLE_MIN = Fraction(1, 5)
+_EXACT_NINTHS = 18
+
 
 class OracleFields:
     """Cached bracket chain ad_H^k(W) for one model, in the h-frame basis."""
@@ -48,14 +68,9 @@ def oracle_fields(model):
 
 
 def _require_pole(model, cov):
-    if not model.has_pole:
-        return
-    pole = cov.h[model.pole_index - 1]
-    if cov.exact:
-        if pole == 0:
-            raise SingularCovector("pole coordinate vanishes at the covector")
-    elif abs(pole) < 1e-8:
-        raise SingularCovector("pole coordinate vanishes at the covector")
+    if model.has_pole:
+        i = model.pole_index
+        _curv.check_pole(cov.h[i - 1], cov.exact, f"h{i}")
 
 
 def canonical_E_top(model, cov):
@@ -74,7 +89,7 @@ def canonical_E_top(model, cov):
                 f"flow derivative {k} of the top frame field is not vertical")
     hvals = list(cov.h)
     norm = of.norm_fun.eval(hvals)
-    ok = (norm == 1) if cov.exact else abs(norm - 1.0) < 1e-10
+    ok = (norm == 1) if cov.exact else abs(norm - 1.0) < NORM_TOL
     if not ok:
         raise LemmaConditionFailed(
             f"sigma(E^(n_a), E^(n_a-1)) = {norm} at the covector, expected 1 "
@@ -158,7 +173,7 @@ class PairingCheck:
         self.expected = expected
         self.actual = actual
         self.passed = (actual == expected) if exact else \
-            abs(float(actual) - float(expected)) < 1e-10
+            abs(float(actual) - float(expected)) < PAIRING_TOL
 
     def __repr__(self):
         return f"PairingCheck({self.name}: {self.actual} vs {self.expected}, " \
@@ -224,7 +239,7 @@ class SflatFit:
                 f"lin_a={self.lin_a:.6g}, dropped={self.dropped})")
 
 
-def sflat_fit(model, cov, t_grid=None, step=1e-4, cond_max=1e12):
+def sflat_fit(model, cov, cond_max=FIT_COND_MAX):
     """Fit the Laurent data of S_flat(t)^{-1} from the integrated Jacobi curve.
 
     The vertical space at lambda(t) is pulled back through the variational
@@ -243,10 +258,9 @@ def sflat_fit(model, cov, t_grid=None, step=1e-4, cond_max=1e12):
     n = model.dim
     of = oracle_fields(model)
     hf = of.hf
-    if t_grid is None:
-        t_grid = np.geomspace(0.008, 0.06, 14)
-    t_grid = np.array([max(step, round(t / step) * step) for t in t_grid])
-    t_grid = np.unique(t_grid)
+    step = _FIT_STEP
+    t_grid = np.unique([max(step, round(t / step) * step)
+                        for t in np.geomspace(*_FIT_T_GEOM)])
     tmax = float(t_grid[-1])
 
     basis = hf.basis_at(cov)
@@ -295,7 +309,7 @@ def sflat_fit(model, cov, t_grid=None, step=1e-4, cond_max=1e12):
     out = {}
     for direction in (+1, -1):
         traj = integrate_flow(model, cov, direction * tmax, step=step,
-                              with_variational=True, drift_bound=1e-8,
+                              with_variational=True, drift_bound=DRIFT_TOL,
                               richardson=True)
         for t in t_grid:
             idx = int(round(t / step))
@@ -378,11 +392,11 @@ def higher_diagonal_invariants(model, cov, i_max=None):
             if cov.exact:
                 residuals.append(all(v == 0 for v in vals))
             else:
-                residuals.append(all(abs(v) < 1e-9 for v in vals))
+                residuals.append(all(abs(v) < CLOSURE_TOL for v in vals))
     return values, residuals
 
 
-def derivative_pullback_check(model, cov, steps=(1e-3, 1e-4)):
+def derivative_pullback_check(model, cov):
     """Validate the bracket oracle against the ODE oracle.
 
     Richardson-extrapolated numeric derivative of t -> M(t)^{-1} W(lambda(t))
@@ -392,11 +406,10 @@ def derivative_pullback_check(model, cov, steps=(1e-3, 1e-4)):
     cov = cov.as_float()
     of = oracle_fields(model)
     hf = of.hf
-    n = model.dim
 
     def pullback(t, step):
         traj = integrate_flow(model, cov, t, step=step, with_variational=True,
-                              drift_bound=1e-6)
+                              drift_bound=SCAN_DRIFT_TOL)
         M = traj.Ms[-1]
         end = traj.covector(len(traj) - 1)
         w = np.array(hf.to_canonical_at(hf.w_top, end), dtype=float)
@@ -406,7 +419,7 @@ def derivative_pullback_check(model, cov, steps=(1e-3, 1e-4)):
         inner = hstep / 50.0
         return (pullback(hstep, inner) - pullback(-hstep, inner)) / (2 * hstep)
 
-    h1, h2 = steps
+    h1, h2 = _PULLBACK_STEPS
     d1, d2 = central(h1), central(h2)
     deriv = (h1 * h1 * d2 - h2 * h2 * d1) / (h1 * h1 - h2 * h2)
     want = np.array(hf.to_canonical_at(of.G[1], cov), dtype=float)
@@ -417,20 +430,20 @@ def derivative_pullback_check(model, cov, steps=(1e-3, 1e-4)):
 # boundary-value probe of the cost Hessian
 # ----------------------------------------------------------------------
 
-def _shoot(model, x, p0, target, t, step, tol=1e-10, max_iter=50):
-    """Newton-solve for the initial momentum reaching `target` in time t."""
+def _shoot(model, x, p0, target, t):
+    """H at the Newton-solved initial momentum reaching `target` in time t."""
     cf = compiled_flow(model)
     n = model.dim
     p = np.array(p0, dtype=float)
     x = np.array(x, dtype=float)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         traj = integrate_flow(model, Covector(model, tuple(x), tuple(p)), t,
-                              step=step, with_variational=True,
+                              step=_PROBE_STEP, with_variational=True,
                               drift_bound=None)
         endx = traj.ys[-1][:n]
         r = endx - target
-        if np.max(np.abs(r)) <= tol:
-            return p, float(cf.H_of(np.concatenate([x, p])))
+        if np.max(np.abs(r)) <= SHOOT_TOL:
+            return float(cf.H_of(np.concatenate([x, p])))
         Jac = traj.Ms[-1][:n, n:]
         try:
             dp = np.linalg.solve(Jac, r)
@@ -441,7 +454,7 @@ def _shoot(model, x, p0, target, t, step, tol=1e-10, max_iter=50):
         while damping > 1e-4:
             p_try = p - damping * dp
             traj2 = integrate_flow(model, Covector(model, tuple(x), tuple(p_try)),
-                                   t, step=step, drift_bound=None)
+                                   t, step=_PROBE_STEP, drift_bound=None)
             if np.max(np.abs(traj2.ys[-1][:n] - target)) < base:
                 p = p_try
                 break
@@ -449,11 +462,11 @@ def _shoot(model, x, p0, target, t, step, tol=1e-10, max_iter=50):
         else:
             raise ShootingDiverged(
                 f"Newton damping underflow at residual {base:.3e}")
-    raise ShootingDiverged(f"shooting did not reach tol {tol:g} in {max_iter} iters")
+    raise ShootingDiverged(f"shooting did not reach tol {SHOOT_TOL:g} "
+                           f"in {_NEWTON_MAX_ITER} iters")
 
 
-def cost_hessian_probe(model, cov, t=0.1, h_base=2e-3, dt_frac=0.05,
-                       step=1e-3, check_balance=True):
+def cost_hessian_probe(model, cov, t=0.1):
     """Finite-difference probe of the cost Hessian restricted to the distribution.
 
     Computes c_tau(x) = -tau H(eta(x, tau)) by Newton shooting onto the
@@ -470,14 +483,14 @@ def cost_hessian_probe(model, cov, t=0.1, h_base=2e-3, dt_frac=0.05,
     fb1 = np.array(hf.to_canonical_at(hf.hvec, cov, basis=basis))[:n]
     na1 = np.linalg.norm(fa1)
     nb1 = np.linalg.norm(fb1)
-    if abs(na1 - 1) > 1e-8 or abs(nb1 - 1) > 1e-8:
+    if abs(na1 - 1) > PROBE_UNIT_TOL or abs(nb1 - 1) > PROBE_UNIT_TOL:
         raise LemmaConditionFailed(
             f"projected frame directions are not unit: {na1}, {nb1}")
     dirs = [fa1, fb1]
 
-    dt = dt_frac * t
+    dt = _PROBE_DT_FRAC * t
     taus = (t - dt, t + dt)
-    ref = integrate_flow(model, cov, t + dt, step=step, drift_bound=None)
+    ref = integrate_flow(model, cov, t + dt, step=_PROBE_STEP, drift_bound=None)
     targets = {}
     for tau in taus:
         targets[tau] = ref.ys[ref.index_at(tau)][:n].copy()
@@ -491,43 +504,37 @@ def cost_hessian_probe(model, cov, t=0.1, h_base=2e-3, dt_frac=0.05,
             _, ainv = fiber_transform(model, tuple(x))
             p_guess = np.array(
                 [sum(ainv[j][i] * h0[i] for i in range(n)) for j in range(n)])
-            p_sol, Hval = _shoot(model, x, p_guess, targets[tau], tau, step)
-            vals.append(-tau * Hval)
+            vals.append(-tau * _shoot(model, x, p_guess, targets[tau], tau))
         return (vals[1] - vals[0]) / (2 * dt)
 
     def hessian(s):
         f0 = cdot(x0)
         q = np.zeros((2, 2))
-        fs = {}
         for i, v in enumerate(dirs):
             fp = cdot(x0 + s * v)
             fm = cdot(x0 - s * v)
             q[i, i] = (fp - 2 * f0 + fm) / (s * s)
-            fs[i] = (fp, fm)
         fpp = cdot(x0 + s * (dirs[0] + dirs[1]))
         fmm = cdot(x0 - s * (dirs[0] + dirs[1]))
         q[0, 1] = q[1, 0] = (fpp + fmm - 2 * f0
                              - q[0, 0] * s * s - q[1, 1] * s * s) / (2 * s * s)
         return q
 
-    q = hessian(h_base)
-    if check_balance:
-        q2 = hessian(h_base / 2)
-        for i in (0, 1):
-            if abs(q2[i, i] - q[i, i]) > 0.05 * abs(q[i, i]):
-                raise StepUnbalanced(
-                    f"probe entries at steps {h_base} and {h_base / 2} disagree: "
-                    f"{q[i, i]:.6g} vs {q2[i, i]:.6g}")
-        q = q2
-    return q
+    q = hessian(_PROBE_H)
+    q2 = hessian(_PROBE_H / 2)
+    for i in (0, 1):
+        if abs(q2[i, i] - q[i, i]) > PROBE_BALANCE_TOL * abs(q[i, i]):
+            raise StepUnbalanced(
+                f"probe entries at steps {_PROBE_H} and {_PROBE_H / 2} "
+                f"disagree: {q[i, i]:.6g} vs {q2[i, i]:.6g}")
+    return q2
 
 
 # ----------------------------------------------------------------------
 # randomized covector generators and verification suites
 # ----------------------------------------------------------------------
 
-def random_rational_unit_covector(model, rng, pole_min=Fraction(1, 5),
-                                  coeff_range=2):
+def random_rational_unit_covector(model, rng):
     """Exact rational unit-speed covector with the pole bounded away from 0.
 
     h1, h2 come from the rational parametrization of the circle; the
@@ -539,11 +546,11 @@ def random_rational_unit_covector(model, rng, pole_min=Fraction(1, 5),
         den = 1 + q * q
         h1 = (1 - q * q) / den
         h2 = 2 * q / den
-        rest = [Fraction(int(rng.integers(-9 * coeff_range, 9 * coeff_range + 1)), 9)
+        rest = [Fraction(int(rng.integers(-_EXACT_NINTHS, _EXACT_NINTHS + 1)), 9)
                 for _ in range(n - 2)]
         h = [h1, h2] + rest
         pole = h[model.pole_index - 1]
-        if abs(pole) >= pole_min:
+        if abs(pole) >= _EXACT_POLE_MIN:
             return Covector.from_h(model, h)
 
 
@@ -616,7 +623,8 @@ def run_exact_suite(model, count=50, seed=0):
     return rows
 
 
-def run_fit_suite(model, count=5, seed=0, lead_tol=1e-6, lin_tol=1e-3):
+def run_fit_suite(model, count=5, seed=0, lead_tol=FIT_LEAD_TOL,
+                  lin_tol=FIT_LIN_TOL):
     """Laurent-fit suite: leading and linear coefficients on generic covectors.
 
     Covectors are resampled while |Omega R11| < 0.05: the linear tolerance
@@ -628,7 +636,8 @@ def run_fit_suite(model, count=5, seed=0, lead_tol=1e-6, lin_tol=1e-3):
     for idx in range(count):
         while True:
             cov = random_unit_covector(model, rng, pole_min=0.45)
-            if abs(float(_curv.omega(n_a, n_a)) * float(_curv.r11(model, cov))) >= 0.05:
+            want_lin = float(_curv.omega(n_a, n_a)) * float(_curv.r11(model, cov))
+            if abs(want_lin) >= 0.05:
                 break
         fit = sflat_fit(model, cov)
         ok_a = abs(fit.lead_a + n_a * n_a) <= lead_tol * n_a * n_a
@@ -637,14 +646,13 @@ def run_fit_suite(model, count=5, seed=0, lead_tol=1e-6, lin_tol=1e-3):
                              -n_a * n_a, fit.lead_a, ok_a))
         rows.append(CheckRow(f"{model.spec_string} fit lead_b #{idx}", "float",
                              -n_b * n_b, fit.lead_b, ok_b))
-        want_lin = float(_curv.omega(n_a, n_a)) * float(_curv.r11(model, cov))
         ok_lin = abs(fit.lin_a - want_lin) <= lin_tol * abs(want_lin)
         rows.append(CheckRow(f"{model.spec_string} fit lin_a #{idx}", "float",
                              want_lin, fit.lin_a, ok_lin))
     return rows
 
 
-def run_slow_suite(model, seed=0, t=0.1, rel_tol=0.05):
+def run_slow_suite(model, seed=0, t=0.1, rel_tol=PROBE_REL_TOL):
     """Cost-Hessian probe suite (Heisenberg scale)."""
     rows = []
     rng = np.random.default_rng(seed)

@@ -20,15 +20,13 @@ import numpy as np
 from .errors import NotAmple, RankUnstable
 from .frames import h_frame
 from .hamiltonian import compiled_flow, integrate_flow, rk4_step
+from .tolerances import (LOSS_TIME_MERGE, LOSS_TIME_TOL, RANK_GAP_RATIO,
+                         RANK_NOISE_CEIL, RANK_NORM_FLOOR, RANK_TOL,
+                         REPORT_UNIT_TOL, SCAN_DRIFT_TOL, ZERO_TOL)
 from . import elliptic
 
-_RANK_TOL = 1e-8
-_GAP_RATIO = 1e2
-_NOISE_CEIL = 1e-10
-# a float pole coordinate at most this large counts as zero, in the growth
-# criteria and at both ends of the loss-time scan alike (the closed-form
-# cross-check of the scan applies the same end rule)
-_ZERO_TOL = 1e-9
+# width at which the bisection of a loss time stops
+_BISECT_WIDTH = 1e-10
 
 
 class GrowthEntry:
@@ -48,13 +46,7 @@ class GrowthEntry:
                 f"equiregular={self.equiregular}, abnormal={self.abnormal})")
 
 
-def _is_zero(v, exact, tol):
-    if exact:
-        return v == 0
-    return abs(v) <= tol
-
-
-def growth_vector_closed_form(model, cov, tol=_ZERO_TOL):
+def growth_vector_closed_form(model, cov, tol=ZERO_TOL):
     """Growth vector at the covector's time, by the pole-coordinate criteria.
 
     Goursat n >= 4: (2,3,..,n) when h1 != 0; (2,3,3,4,4,..,n) when h1 = 0
@@ -64,27 +56,22 @@ def growth_vector_closed_form(model, cov, tol=_ZERO_TOL):
     h1 h4 + h2 h5 != 0; abnormal when both vanish.
     """
     h = cov.h
-    exact = cov.exact
     n = model.dim
+    goursat = model.kind == "goursat"
+    if cov.exact:
+        tol = 0
     if not model.has_pole:
         return GrowthEntry((2, 3), True, True, False)
-    if model.kind == "goursat":
-        h1_zero = _is_zero(h[0], exact, tol)
-        h3_zero = _is_zero(h[2], exact, tol)
-        if h1_zero and h3_zero:
-            return GrowthEntry((2, 3), False, False, True)
-        if not h1_zero:
-            return GrowthEntry(tuple(range(2, n + 1)), True, True, False)
+    if model.is_abnormal(h, tol):
+        return GrowthEntry((2, 3) if goursat else (2, 3, 4), False, False, True)
+    if abs(h[model.pole_index - 1]) > tol:
+        return GrowthEntry(tuple(range(2, n + 1)), True, True, False)
+    if goursat:
         growth = [2]
         for j in range(3, n):
             growth += [j, j]
         growth.append(n)
         return GrowthEntry(tuple(growth), True, False, False)
-    h3_zero = _is_zero(h[2], exact, tol)
-    if not h3_zero:
-        return GrowthEntry((2, 3, 4, 5), True, True, False)
-    if _is_zero(h[0] * h[3] + h[1] * h[4], exact, tol):
-        return GrowthEntry((2, 3, 4), False, False, True)
     return GrowthEntry((2, 3, 4, 4, 5), True, False, False)
 
 
@@ -95,8 +82,7 @@ def _rank_fields(model):
             for j in range(1, model.dim + 1)]
 
 
-def growth_vector_rank_oracle(model, cov, t=0.0, max_order=None,
-                              step=1e-3):
+def growth_vector_rank_oracle(model, cov, t=0.0):
     """Growth vector from ranks of iterated brackets of a vertical frame.
 
     Evaluates ad_H^k(d/dh_j) at lambda(t) (flowing the covector when t > 0),
@@ -104,12 +90,11 @@ def growth_vector_rank_oracle(model, cov, t=0.0, max_order=None,
     Raises RankUnstable when the singular-value gap at the threshold is
     smaller than a factor of 100.
     """
-    if max_order is None:
-        max_order = model.default_max_order
+    max_order = model.default_max_order
     n = model.dim
     cov = cov.as_float()
     if t:
-        traj = integrate_flow(model, cov, t, step=step, drift_bound=1e-6)
+        traj = integrate_flow(model, cov, t, drift_bound=SCAN_DRIFT_TOL)
         cov = traj.covector(len(traj) - 1)
     hf = h_frame(model)
     fields = model.memo(_rank_fields)
@@ -121,7 +106,7 @@ def growth_vector_rank_oracle(model, cov, t=0.0, max_order=None,
             v = np.array(hf.to_canonical_at(fields[j][k], cov, basis=basis),
                          dtype=float)
             norm = np.linalg.norm(v)
-            if norm > 1e-13:
+            if norm > RANK_NORM_FLOOR:
                 rows.append(v / norm)
         vecs_by_order.append(rows)
 
@@ -131,20 +116,20 @@ def growth_vector_rank_oracle(model, cov, t=0.0, max_order=None,
         stacked += vecs_by_order[i]
         sv = np.linalg.svd(np.array(stacked), compute_uv=False)
         smax = sv[0]
-        kept = sv[sv > _RANK_TOL * smax]
-        dropped = sv[sv <= _RANK_TOL * smax]
+        kept = sv[sv > RANK_TOL * smax]
+        dropped = sv[sv <= RANK_TOL * smax]
         if len(dropped):
-            if kept[-1] / max(dropped[0], 1e-300) < _GAP_RATIO:
+            if kept[-1] / max(dropped[0], 1e-300) < RANK_GAP_RATIO:
                 raise RankUnstable(
                     f"singular-value gap too small at order {i}: "
                     f"{kept[-1]:.3e} vs {dropped[0]:.3e}")
             # a dropped value well above numerical noise means the flag
             # direction is small but not certifiably zero: refuse rather
             # than silently round it away
-            if dropped[0] > _NOISE_CEIL * smax:
+            if dropped[0] > RANK_NOISE_CEIL * smax:
                 raise RankUnstable(
                     f"discarded singular value {dropped[0]:.3e} at order {i} "
-                    f"sits above the noise floor {_NOISE_CEIL * smax:.3e}")
+                    f"sits above the noise floor {RANK_NOISE_CEIL * smax:.3e}")
         rank = len(kept)
         dim_f = rank - n
         growth.append(dim_f)
@@ -153,7 +138,7 @@ def growth_vector_rank_oracle(model, cov, t=0.0, max_order=None,
     return tuple(growth)
 
 
-def rank_oracle_matches(model, cov, t=0.0, step=1e-3):
+def rank_oracle_matches(model, cov, t=0.0):
     """True when the rank oracle reproduces the closed-form classification.
 
     Both routes are evaluated at the same (flowed) covector, and the closed
@@ -162,9 +147,9 @@ def rank_oracle_matches(model, cov, t=0.0, step=1e-3):
     """
     cov = cov.as_float()
     if t:
-        traj = integrate_flow(model, cov, t, step=step, drift_bound=1e-6)
+        traj = integrate_flow(model, cov, t, drift_bound=SCAN_DRIFT_TOL)
         cov = traj.covector(len(traj) - 1)
-    entry = growth_vector_closed_form(model, cov, tol=_RANK_TOL)
+    entry = growth_vector_closed_form(model, cov, tol=RANK_TOL)
     seq = growth_vector_rank_oracle(model, cov)
     if entry.ample:
         return seq == entry.growth
@@ -172,7 +157,7 @@ def rank_oracle_matches(model, cov, t=0.0, step=1e-3):
     return seq[-1] < model.dim and seq[-1] == seq[-2]
 
 
-def equiregularity_loss_times(model, cov, T, step=1e-3, refine_tol=1e-10):
+def equiregularity_loss_times(model, cov, T, step=1e-3):
     """Zeros of the pole coordinate along the flow on [0, T].
 
     Sign-change scan on the integration grid, refined by bisection (the
@@ -186,7 +171,7 @@ def equiregularity_loss_times(model, cov, T, step=1e-3, refine_tol=1e-10):
     if not model.has_pole:
         return []
     cov = cov.as_float()
-    traj = integrate_flow(model, cov, T, step=step, drift_bound=1e-6)
+    traj = integrate_flow(model, cov, T, step=step, drift_bound=SCAN_DRIFT_TOL)
     col = model.pole_index - 1
     s = traj.h_series()[:, col]
     ts = traj.ts
@@ -198,9 +183,9 @@ def equiregularity_loss_times(model, cov, T, step=1e-3, refine_tol=1e-10):
             return s[i]
         return cf.h_of(rk4_step(cf, traj.ys[i], dt)[0])[col]
 
-    # a pole within _ZERO_TOL at either end of the scan is a zero at that
+    # a pole within ZERO_TOL at either end of the scan is a zero at that
     # end, and a sign change in the step next to it is that same zero
-    at_start, at_end = abs(s[0]) <= _ZERO_TOL, abs(s[-1]) <= _ZERO_TOL
+    at_start, at_end = abs(s[0]) <= ZERO_TOL, abs(s[-1]) <= ZERO_TOL
     last = len(ts) - 2
     zeros = [0.0] if at_start else []
     for i in range(len(ts) - 1):
@@ -212,7 +197,7 @@ def equiregularity_loss_times(model, cov, T, step=1e-3, refine_tol=1e-10):
                 and not (at_end and i == last)):
             lo, hi = 0.0, float(ts[i + 1] - ts[i])
             flo = a
-            while hi - lo > refine_tol:
+            while hi - lo > _BISECT_WIDTH:
                 mid = 0.5 * (lo + hi)
                 fm = pole_at(i, mid)
                 if flo * fm <= 0.0:
@@ -223,10 +208,9 @@ def equiregularity_loss_times(model, cov, T, step=1e-3, refine_tol=1e-10):
     if at_end:
         zeros.append(float(ts[-1]))
 
-    # dedupe within 1e-9
     out = []
     for z in sorted(zeros):
-        if not out or z - out[-1] > 1e-9:
+        if not out or z - out[-1] > LOSS_TIME_MERGE:
             out.append(z)
 
     if model.has_pendulum:
@@ -236,17 +220,16 @@ def equiregularity_loss_times(model, cov, T, step=1e-3, refine_tol=1e-10):
                 chart = elliptic.elliptic_coords(model, cov)
             predicted = elliptic.pole_zero_times(chart, T)
             # the scan's end rule on the closed form: a pole within
-            # _ZERO_TOL at t = 0 or T is a zero there, even where the exact
+            # ZERO_TOL at t = 0 or T is a zero there, even where the exact
             # zero lies a hair outside [0, T]
-            if (abs(chart.h0[col]) <= _ZERO_TOL
-                    and not (predicted and predicted[0] <= 1e-6)):
+            if (abs(chart.h0[col]) <= ZERO_TOL
+                    and not (predicted and predicted[0] <= LOSS_TIME_TOL)):
                 predicted.insert(0, 0.0)
-            if (abs(elliptic.pendulum_closed_form(chart, T)[col])
-                    <= _ZERO_TOL and not (predicted
-                                          and predicted[-1] >= T - 1e-6)):
+            if (abs(elliptic.pendulum_closed_form(chart, T)[col]) <= ZERO_TOL
+                    and not (predicted and predicted[-1] >= T - LOSS_TIME_TOL)):
                 predicted.append(T)
             if len(predicted) != len(out) or any(
-                    abs(a - b) > 1e-6 for a, b in zip(predicted, out)):
+                    abs(a - b) > LOSS_TIME_TOL for a, b in zip(predicted, out)):
                 raise RuntimeError(
                     "loss-time cross-check failed: integration found "
                     f"{out} but the elliptic closed form predicts {predicted}")
@@ -292,7 +275,7 @@ def growth_report(model, cov, T=None, step=1e-3):
     entry = growth_vector_closed_form(model, cov)
     stratum = None
     if model.has_pendulum:
-        if cov.as_float().is_unit_speed(1e-6):
+        if cov.as_float().is_unit_speed(REPORT_UNIT_TOL):
             stratum = elliptic.classify_pendulum(model, cov.as_float()).stratum_label
     loss = None
     if T is not None and entry.ample:

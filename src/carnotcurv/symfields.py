@@ -363,7 +363,7 @@ class Rat:
 
     __slots__ = ("num", "den", "_dx")
 
-    def __init__(self, num, den=(), reduce_now=True):
+    def __init__(self, num, den=()):
         self._dx = None
         factors = {}
         scale = _ONE
@@ -393,20 +393,18 @@ class Rat:
                 num = num * (_ONE / (f.content ** e))
             else:
                 den_list.append((f, e))
-        if reduce_now:
-            out = []
-            for f, e in den_list:
-                while e > 0:
-                    q = num.exact_div(f)
-                    if q is None:
-                        break
-                    num = q
-                    e -= 1
-                if e:
-                    out.append((f, e))
-            den_list = out
+        out = []
+        for f, e in den_list:
+            while e > 0:
+                q = num.exact_div(f)
+                if q is None:
+                    break
+                num = q
+                e -= 1
+            if e:
+                out.append((f, e))
         self.num = num
-        self.den = tuple(sorted(den_list, key=lambda fe: fe[0].key()))
+        self.den = tuple(sorted(out, key=lambda fe: fe[0].key()))
 
     # -- constructors ----------------------------------------------------
     @classmethod

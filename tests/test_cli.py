@@ -219,6 +219,19 @@ class TestCurvature:
                          "--covector", "2,0,1")
         assert code == 4
 
+    @pytest.mark.parametrize("group, covector", [
+        ("goursat:3", "0.6,0.8,1e200"), ("goursat:4", "0.6,0.8,1e200,0"),
+        ("cartan", "0.6,0.8,1e200,0,0")])
+    def test_r11_beyond_float_range_exit_2(self, capsys, group, covector):
+        # R11 is exact here but once overflowed float() in the report
+        code, out, err = run(capsys, "curvature", "--group", group,
+                             "--covector", covector)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: R11 or its bound at covector {covector} is beyond the "
+            "float range"]
+
 
 class TestVerify:
     def test_exact_suite_passes(self, capsys):
@@ -241,6 +254,14 @@ class TestVerify:
         assert f.read_bytes() == first
         assert sha256(out) == ("3c5cbbe8eacf1d0ae3b1168cb32920e77bee142c"
                                "dccecc04f311c41e68f2c01d")
+
+    def test_negative_count_exit_2(self, capsys):
+        # once ran no check and failed as "expected -3/-3, got 0/-3"
+        code, out, err = run(capsys, "verify", "--suite", "exact",
+                             "--group", "goursat:3", "--count", "-3")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: --count must be >= 0, got -3"]
 
     def test_failure_exit_6(self, capsys, monkeypatch):
         bad = oracle.CheckRow("forced", "exact", 1, 0, False)
@@ -314,6 +335,26 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", "--group", "goursat:4",
                          "--grid", "theta=0:1:2")
         assert code == 2
+
+    def test_non_finite_grid_bound_exit_2(self, capsys):
+        # once failed later, as "classification needs h1^2+h2^2 = 1"
+        code, out, err = run(capsys, "sweep", "--group", "goursat:4", "--grid",
+                             "theta=0:1:2,c=inf:1:1,alpha=1:1:1")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: grid axis 'c' needs finite bounds, got inf:1.0"]
+
+    def test_non_finite_point_writes_no_rows(self, capsys):
+        # c = 1e300 overflows E and r11; the row was printed with exit 0
+        code, out, err = run(capsys, "sweep", "--group", "cartan", "--grid",
+                             "theta=0:1:1,c=1e300:1e300:1,alpha=1:1:1,"
+                             "beta=0:0:1")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: sweep point theta=0, c=1.0000000000000001e+300, alpha=1, "
+            "beta=0 gives non-finite values (E = inf, r11 = inf, slack = nan)"]
 
     def test_deterministic(self, capsys):
         for group, grid, digest in (

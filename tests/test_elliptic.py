@@ -14,6 +14,7 @@ from carnotcurv.elliptic import (classify_pendulum, complete_K,
                                  elliptic_coords, inverse_sn, jacobi_sn_cn_dn,
                                  pendulum_closed_form, pole_zero_times)
 from carnotcurv.hamiltonian import integrate_flow
+from carnotcurv.regularity import growth_vector_closed_form
 
 
 class TestJacobiFunctions:
@@ -143,6 +144,23 @@ class TestClassification:
         assert c5.stratum == "C5" and c5.abnormal
         c4 = classify_pendulum(m, Covector.from_h(m, engel_h_from_chart(0.0, 0.0, 1.0)))
         assert c4.stratum == "C4" and c4.abnormal
+
+    @pytest.mark.parametrize("spec, chart, abnormal", [
+        ("goursat:4", (0.0, 0.0, 1.0), True),         # C4
+        ("goursat:4", (math.pi, 0.0, 1.0), True),     # C5
+        ("goursat:4", (0, 0, 0), True),               # C7
+        ("goursat:4", (0, 1, 0), False),              # C6
+        ("goursat:4", (0.3, 0.8, 1.0), False),        # C1
+        ("cartan", (0.0, 0.0, 1.0, 0.0), True),       # C4
+        ("cartan", (0.3, 0.8, 1.0, 0.7), False)])     # C1
+    def test_abnormal_agrees_with_growth_vector(self, models, spec, chart,
+                                                abnormal):
+        m = models[spec]
+        h = (engel_h_from_chart if spec == "goursat:4"
+             else cartan_h_from_chart)(*chart)
+        cov = Covector.from_h(m, h)
+        assert classify_pendulum(m, cov).abnormal is abnormal
+        assert growth_vector_closed_form(m, cov).abnormal is abnormal
 
     def test_boundary_uncertain_flag(self, models):
         m = models["goursat:4"]

@@ -115,6 +115,29 @@ class TestR11Exact:
         with pytest.raises(SingularCovector):
             oc.r11_exact(cc, Covector.from_h(cc, (1, 0, 0, 1, 0)))
 
+    @pytest.mark.parametrize("spec, h, exact_zero", [
+        ("goursat:4", lambda pole: (pole, (1 - pole * pole) ** 0.5, 0.5, 0.3),
+         (0, 1, Fraction(1, 2), Fraction(3, 10))),
+        ("cartan", lambda pole: (0.6, 0.8, pole, 0.3, -0.2),
+         (Fraction(3, 5), Fraction(4, 5), 0, Fraction(3, 10), Fraction(-1, 5)))],
+        ids=["goursat:4", "cartan"])
+    def test_pole_threshold_agrees_with_closed_form(self, models, spec, h,
+                                                    exact_zero):
+        # the closed form and the bracket route share one pole decision: a
+        # float pole below 1e-8 in size raises, and so does an exact zero
+        m = models[spec]
+        for hv in (h(5e-9), h(-5e-9), exact_zero):
+            cov = Covector.from_h(m, hv)
+            with pytest.raises(SingularCovector) as closed:
+                cv.r11(m, cov)
+            with pytest.raises(SingularCovector) as bracket:
+                oc.r11_exact(m, cov)
+            assert str(closed.value) == str(bracket.value)
+        for pole in (2e-8, -2e-8):
+            cov = Covector.from_h(m, h(pole))
+            cv.r11(m, cov)
+            oc.r11_exact(m, cov)
+
 
 class TestDarboux:
     def test_all_pairings_exact(self, models, rng):
