@@ -2,9 +2,13 @@
 
 The right-hand side and its Jacobian are generated once per group model from
 the exact polynomial Hamiltonian field (the Jacobian is the symbolic
-derivative, not finite differences) and compiled to plain Python functions.
-Conserved quantities are monitored and drift beyond a configurable bound is
-an error rather than a silent failure.
+derivative, not finite differences) and compiled to plain Python functions
+on Python floats: the state is unpacked once, each power v_i**k is bound
+once, and the Jacobian writes only its structurally nonzero entries.  The
+values equal those of numpy-scalar evaluation bit for bit.  A power that
+overflows gives NaN values, not an OverflowError.  Conserved quantities are
+monitored and drift beyond a configurable bound (a NaN drift included) is an
+error rather than a silent failure.
 """
 from __future__ import annotations
 
@@ -18,35 +22,66 @@ from .frames import frame_fields
 from .groups import Covector
 from .tolerances import DRIFT_TOL
 
+# The one template of the four generated functions.  Python's float ** calls
+# the same C pow as a numpy scalar's, and a bound power keeps the product
+# order, so the values match numpy-scalar code bit for bit.  Python floats
+# raise OverflowError where numpy would warn and return inf; every computed
+# value is then NaN (structural zeros of the Jacobian stay 0), and the NaN
+# drift fails the drift check of integrate_flow.
+_TEMPLATE = """\
+def {name}(y):
+    {unpack} = y.tolist()
+    try:
+{powers}        out = [{exprs}]
+    except OverflowError:
+        out = [math.nan] * {count}
+{tail}"""
+
+
+def _function(name, nvars, polys, tail):
+    """Source of a function of y (nvars floats): out lists the values of
+    polys, and tail returns the result built from it."""
+    used = set()
+
+    def power(i, k):
+        if k == 1:
+            return f"v{i}"
+        used.add((i, k))
+        return f"v{i}_{k}"
+
+    exprs = [p.to_pyexpr(power) for p in polys]
+    return _TEMPLATE.format(
+        name=name, unpack=", ".join(f"v{i}" for i in range(nvars)),
+        powers="".join(f"        v{i}_{k} = v{i}**{k}\n"
+                       for i, k in sorted(used)),
+        exprs=", ".join(exprs), count=len(exprs), tail=tail)
+
+
 class CompiledFlow:
-    """Generated numeric callables for one model."""
+    """Generated numeric callables for one model: rhs(y) and h_of(y) return
+    arrays, H_of(y) a float, jac(y) the dense 2n x 2n Jacobian."""
 
     def __init__(self, model):
         ff = frame_fields(model)
         n = model.dim
         self.n = n
-        pre = "\n".join(f"    v{i} = y[{i}]" for i in range(2 * n))
-        vnames = [f"v{i}" for i in range(2 * n)]
+        N = 2 * n
+        comps = [c.num for c in ff.hvec.comps]
+        entries = [(m * N + l, comps[m].diff(l))
+                   for m in range(N) for l in range(N)]
+        entries = [(k, d) for k, d in entries if not d.is_zero]
 
-        comps = [c.num.to_pyexpr(vnames) for c in ff.hvec.comps]
-        src = ("def rhs(y):\n" + pre + "\n    return np.array(["
-               + ", ".join(comps) + "])\n")
+        array = "    return np.array(out)\n"
+        src = (_function("rhs", N, comps, array)
+               + _function("jac", N, [d for _, d in entries],
+                           f"    J = np.zeros(({N}, {N}))\n"
+                           f"    J.put(JAC_INDEX, out)\n"
+                           f"    return J\n")
+               + _function("h_of", N, ff.h_poly, array)
+               + _function("H_of", N, [ff.H_poly], "    return out[0]\n"))
 
-        jac_rows = []
-        for m in range(2 * n):
-            row = [ff.hvec.comps[m].num.diff(l).to_pyexpr(vnames)
-                   for l in range(2 * n)]
-            jac_rows.append("[" + ", ".join(row) + "]")
-        src += ("def jac(y):\n" + pre + "\n    return np.array(["
-                + ", ".join(jac_rows) + "])\n")
-
-        hcomps = [hp.to_pyexpr(vnames) for hp in ff.h_poly]
-        src += ("def h_of(y):\n" + pre + "\n    return np.array(["
-                + ", ".join(hcomps) + "])\n")
-        src += ("def H_of(y):\n" + pre + "\n    return "
-                + ff.H_poly.to_pyexpr(vnames) + "\n")
-
-        ns = {"np": np}
+        ns = {"np": np, "math": math,
+              "JAC_INDEX": np.array([k for k, _ in entries], dtype=np.intp)}
         exec(compile(src, f"<flow:{model.spec_string}>", "exec"), ns)
         self.rhs = ns["rhs"]
         self.jac = ns["jac"]

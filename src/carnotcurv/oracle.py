@@ -28,10 +28,10 @@ from .frames import h_frame
 from .groups import Covector, fiber_transform
 from .hamiltonian import compiled_flow, integrate_flow
 from .symfields import Poly, Rat, sigma_pair
-from .tolerances import (CLOSURE_TOL, DRIFT_TOL, FIT_COND_MAX, FIT_LEAD_TOL,
-                         FIT_LIN_TOL, NORM_TOL, PAIRING_TOL, PROBE_BALANCE_TOL,
-                         PROBE_REL_TOL, PROBE_UNIT_TOL, SCAN_DRIFT_TOL,
-                         SHOOT_TOL)
+from .tolerances import (CLOSURE_TOL, DRIFT_TOL, FIT_B_ZERO_TOL,
+                         FIT_COND_MAX, FIT_LEAD_TOL, FIT_LIN_TOL, NORM_TOL,
+                         PAIRING_TOL, PROBE_BALANCE_TOL, PROBE_REL_TOL,
+                         PROBE_UNIT_TOL, SCAN_DRIFT_TOL, SHOOT_TOL)
 from . import curvature as _curv
 
 # Laurent fit: RK4 step, and the geomspace (start, stop, num) of its t-grid
@@ -628,7 +628,10 @@ def run_fit_suite(model, count=5, seed=0, lead_tol=FIT_LEAD_TOL,
     """Laurent-fit suite: leading and linear coefficients on generic covectors.
 
     Covectors are resampled while |Omega R11| < 0.05: the linear tolerance
-    is relative, so the target must be bounded away from its zero set.
+    is relative, so the target must be bounded away from its zero set.  The
+    entries with a b index vanish (every curvature entry with a b index is
+    0), so the linear b coefficient and the largest a-b entry of the fitted
+    block are checked against 0 within the absolute FIT_B_ZERO_TOL.
     """
     rows = []
     rng = np.random.default_rng(seed)
@@ -649,6 +652,11 @@ def run_fit_suite(model, count=5, seed=0, lead_tol=FIT_LEAD_TOL,
         ok_lin = abs(fit.lin_a - want_lin) <= lin_tol * abs(want_lin)
         rows.append(CheckRow(f"{model.spec_string} fit lin_a #{idx}", "float",
                              want_lin, fit.lin_a, ok_lin))
+        rows.append(CheckRow(f"{model.spec_string} fit lin_b #{idx}", "float",
+                             0.0, fit.lin_b, abs(fit.lin_b) <= FIT_B_ZERO_TOL))
+        rows.append(CheckRow(f"{model.spec_string} fit offdiag #{idx}",
+                             "float", 0.0, fit.offdiag_max,
+                             fit.offdiag_max <= FIT_B_ZERO_TOL))
     return rows
 
 

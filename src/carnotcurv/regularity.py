@@ -22,7 +22,7 @@ from .frames import h_frame
 from .hamiltonian import compiled_flow, integrate_flow, rk4_step
 from .tolerances import (LOSS_TIME_MERGE, LOSS_TIME_TOL, RANK_GAP_RATIO,
                          RANK_NOISE_CEIL, RANK_NORM_FLOOR, RANK_TOL,
-                         REPORT_UNIT_TOL, SCAN_DRIFT_TOL, ZERO_TOL)
+                         SCAN_DRIFT_TOL, ZERO_TOL)
 from . import elliptic
 
 # width at which the bisection of a loss time stops
@@ -275,8 +275,11 @@ def growth_report(model, cov, T=None, step=1e-3):
     entry = growth_vector_closed_form(model, cov)
     stratum = None
     if model.has_pendulum:
-        if cov.as_float().is_unit_speed(REPORT_UNIT_TOL):
-            stratum = elliptic.classify_pendulum(model, cov.as_float()).stratum_label
+        # the unit-speed test of classify_pendulum itself: off unit speed
+        # the report names no stratum rather than raising NotUnitSpeed
+        fcov = cov.as_float()
+        if fcov.is_unit_speed():
+            stratum = elliptic.classify_pendulum(model, fcov).stratum_label
     loss = None
     if T is not None and entry.ample:
         loss = equiregularity_loss_times(model, cov, T, step=step)

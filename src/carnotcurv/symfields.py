@@ -340,16 +340,20 @@ class Poly:
             out += " - " + p[1:] if p.startswith("-") else " + " + p
         return out
 
-    def to_pyexpr(self, varnames):
-        """Python source expression with float coefficients (for codegen)."""
+    def to_pyexpr(self, power):
+        """Python source expression with float coefficients (for codegen).
+
+        power(i, k) is the source text of variable i to the power k >= 1.
+        Terms come in descending deglex order, each as the coefficient times
+        its factors in variable order, so the float evaluation order is
+        fixed by the polynomial alone.
+        """
         if self.is_zero:
             return "0.0"
         parts = []
         for e in sorted(self.terms, key=_degkey, reverse=True):
             c = float(self.content * self.terms[e])
-            mono = "*".join(
-                varnames[i] if k == 1 else f"{varnames[i]}**{k}"
-                for i, k in enumerate(e) if k)
+            mono = "*".join(power(i, k) for i, k in enumerate(e) if k)
             parts.append(f"{c!r}*{mono}" if mono else f"{c!r}")
         return " + ".join(parts)
 

@@ -16,8 +16,6 @@ POLE_TOL = 1e-8
 ZERO_TOL = 1e-9
 # |2H - 1| at most this is a unit-speed covector
 UNIT_SPEED_TOL = 1e-9
-# the looser unit-speed test a growth report applies before naming a stratum
-REPORT_UNIT_TOL = 1e-6
 # pendulum strata: a distance to a boundary (|E -+ alpha|, alpha, |c|) at
 # most this is on it; the pendulum abnormality test uses the same width
 STRATUM_TOL = 1e-10
@@ -69,5 +67,9 @@ PROBE_BALANCE_TOL = 0.05
 FIT_LEAD_TOL = 1e-6
 # linear Laurent coefficient Omega R11
 FIT_LIN_TOL = 1e-3
+# absolute: the fitted entries with a b index (the linear b coefficient, and
+# the a-b entries of t S_flat^-1 on the grid) are 0 in theory; measured at
+# most 2.2e-12 and 6.0e-11 over 80 covectors of each fit group
+FIT_B_ZERO_TOL = 1e-8
 # cost-Hessian diagonal against n^2 / t^2
 PROBE_REL_TOL = 0.05

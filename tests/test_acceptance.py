@@ -78,6 +78,8 @@ def test_c03_laurent_fit_reproduction():
         rows = oc.run_fit_suite(m, count=5, seed=103)
         ok &= all(r.passed for r in rows)
         for r in rows:
+            if "lin_b" in r.name or "offdiag" in r.name:
+                continue    # expected 0: an absolute bound, no relative error
             rel = abs((float(r.actual) - float(r.expected))
                       / float(r.expected))
             if "lead" in r.name:

@@ -8,6 +8,7 @@ from carnotcurv.errors import (IllConditioned, IndexOutOfRange,
 from carnotcurv.groups import Covector
 from carnotcurv import curvature as cv
 from carnotcurv import oracle as oc
+from carnotcurv.tolerances import FIT_B_ZERO_TOL
 
 
 class TestCanonicalETop:
@@ -210,6 +211,25 @@ class TestSflatFit:
         cov = Covector.from_h(g4, (0.8, 0.6, 0.5, 0.3))
         with pytest.raises(IllConditioned):
             oc.sflat_fit(g4, cov, cond_max=1.0)
+
+    def test_fit_suite_checks_b_entries(self, models, monkeypatch):
+        # lin_b and offdiag_max were once computed and never checked
+        g3 = models["goursat:3"]
+        rows = oc.run_fit_suite(g3, count=1)
+        assert [r.name.split(" fit ")[1] for r in rows] == [
+            "lead_a #0", "lead_b #0", "lin_a #0", "lin_b #0", "offdiag #0"]
+        assert all(r.passed for r in rows)
+
+        fit_of = oc.sflat_fit
+
+        def off_zero(model, cov):
+            fit = fit_of(model, cov)
+            fit.lin_b = fit.offdiag_max = 2 * FIT_B_ZERO_TOL
+            return fit
+
+        monkeypatch.setattr(oc, "sflat_fit", off_zero)
+        rows = oc.run_fit_suite(g3, count=1)
+        assert [r.passed for r in rows] == [True, True, True, False, False]
 
 
 class TestDerivativePullback:

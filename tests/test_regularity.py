@@ -253,6 +253,14 @@ class TestGrowthReport:
         assert d["ample"] and d["equiregular_at_0"]
         assert len(d["loss_times"]) >= 1
 
+    @pytest.mark.parametrize("h2", [0.8000001, 0.801])
+    def test_off_unit_speed_names_no_stratum(self, models, h2):
+        # 1e-9 < |2H - 1| <= 1e-6 once raised NotUnitSpeed from the pendulum
+        # classification, while a larger |2H - 1| left the stratum out
+        m = models["goursat:4"]
+        rep = growth_report(m, Covector.from_h(m, (0.6, h2, 1.0, 0.0)))
+        assert rep.stratum is None
+
     def test_abnormal_report(self, models):
         cc = models["cartan"]
         rep = growth_report(cc, Covector.from_h(cc, (1, 0, 0, 0, 1)))
