@@ -17,8 +17,7 @@ from .errors import (CarnotError, DimensionMismatch, IllConditioned,
                      StepUnbalanced, UnsupportedGroup, WrongStratum)
 from .groups import (Covector, GroupModel, build_group, cartan_h_from_chart,
                      engel_h_from_chart, fiber_transform, parse_group_spec)
-from .symfields import (Poly, Rat, RatVecField, lie_bracket, sigma_pair,
-                        sigma_pair_fields)
+from .symfields import Poly, Rat, RatVecField, sigma_pair, sigma_pair_fields
 from .frames import frame_fields, h_frame, verify_bracket_identities
 from .hamiltonian import (Trajectory, conserved_quantities, flow_rhs,
                           integrate_flow)

@@ -191,6 +191,9 @@ def cmd_verify(args):
         if args.suite == "slow":
             if model.dim <= 4:
                 rows += oracle.run_slow_suite(model, seed=args.seed)
+            elif args.group:
+                raise UsageError(f"slow suite is defined for goursat:3 and "
+                                 f"goursat:4, not {spec}")
             else:
                 print(f"note: slow suite is defined for goursat:3 and "
                       f"goursat:4; skipping {spec}", file=sys.stderr)

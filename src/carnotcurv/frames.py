@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .symfields import Poly, Rat, RatVecField, sigma_pair_fields
+from .symfields import Poly, Rat, RatVecField
 
 
 class FrameFields:
@@ -120,10 +120,6 @@ class FrameFields:
                 acc = acc + Rat(self.a[i][j]) * field.comps[n + j]
             out.append(acc)
         return out
-
-    def sigma(self, v, w):
-        """Pointwise symplectic pairing of two fields, as a rational function."""
-        return sigma_pair_fields(v, w)
 
 
 def frame_fields(model):

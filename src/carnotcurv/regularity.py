@@ -161,9 +161,9 @@ def equiregularity_loss_times(model, cov, T, step=1e-3):
     """Zeros of the pole coordinate along the flow on [0, T].
 
     Sign-change scan on the integration grid, refined by bisection (the
-    zeros of an ample geodesic's pole coordinate are simple).  For Engel and
-    Cartan covectors in strata C1/C2/C3/C6 the count is cross-checked
-    against the elliptic closed form.
+    zeros of an ample geodesic's pole coordinate are simple).  For unit-speed
+    Engel and Cartan covectors in strata C1/C2/C3/C6 the count is
+    cross-checked against the elliptic closed form.
     """
     entry = growth_vector_closed_form(model, cov)
     if not entry.ample:
@@ -213,7 +213,8 @@ def equiregularity_loss_times(model, cov, T, step=1e-3):
         if not out or z - out[-1] > LOSS_TIME_MERGE:
             out.append(z)
 
-    if model.has_pendulum:
+    # the pendulum charts need unit speed, as in growth_report
+    if model.has_pendulum and cov.is_unit_speed():
         chart = elliptic.classify_pendulum(model, cov)
         if chart.stratum in ("C1", "C2", "C3", "C6"):
             if chart.stratum in ("C1", "C2", "C3"):

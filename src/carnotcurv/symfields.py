@@ -6,12 +6,12 @@ integer coefficients have gcd 1 and positive leading (deglex) coefficient.
 That makes the representation canonical: two polynomials are equal iff their
 (content, terms) pairs are equal.
 
-Rational functions keep the denominator in factored form and reduce by exact
-polynomial division against each factor.  All denominators produced by the
-bracket calculus in this package are powers of a single irreducible pole
-polynomial (h1 for the Goursat family, h3 for the Cartan group), so this
-reduction keeps every reachable value canonical without a general
-multivariate gcd.
+Rational functions have one pole: every denominator the bracket calculus in
+this package produces is a power of a single irreducible polynomial (h1 for
+the Goursat family, h3 for the Cartan group).  A Rat is num / pole^e, reduced
+by exact division of num by the pole, which keeps every value canonical
+without a general multivariate gcd.  A second, different denominator factor
+raises ValueError.
 
 Vector fields carry one rational-function coefficient per coordinate of
 T*R^n ~ R^{2n} in canonical coordinates (x_1..x_n, p_1..p_n); the canonical
@@ -30,6 +30,7 @@ from .errors import DimensionMismatch
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_TWO_POLES = "a rational function has one pole; got two different factors"
 
 
 def _lcm(a: int, b: int) -> int:
@@ -363,52 +364,45 @@ class Poly:
 
 
 class Rat:
-    """Rational function num / prod(factor^mult) with factored denominator."""
+    """Rational function num / pole^e with at most one denominator factor.
 
-    __slots__ = ("num", "den", "_dx")
+    den is () or ((pole, e),) with e > 0, where the pole has content 1 and
+    does not divide num.  That reduced form is unique, so equality compares
+    num and den directly.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den=()):
-        self._dx = None
-        factors = {}
+        pole, e = None, 0
         scale = _ONE
-        for f, e in den:
-            if e == 0:
+        for f, k in den:
+            if k == 0:
                 continue
             if f.is_zero:
                 raise ZeroDivisionError("zero denominator factor")
             if f.content != 1:
-                scale *= f.content ** e
+                scale *= f.content ** k
                 f = Poly(f.nvars, f.terms, _ONE, normalized=True)
-            k = f.key()
-            if k in factors:
-                factors[k] = (f, factors[k][1] + e)
-            else:
-                factors[k] = (f, e)
+            if f.degree() == 0:
+                # a constant factor folds into the numerator content
+                continue
+            if pole is not None and f.terms != pole.terms:
+                raise ValueError(_TWO_POLES)
+            pole, e = f, e + k
+        if e < 0:
+            raise ValueError("negative power of the pole")
         if scale != 1:
             num = num * (_ONE / scale)
-        if num.is_zero:
-            self.num = num
-            self.den = ()
-            return
-        # constant factors fold into the numerator content
-        den_list = []
-        for f, e in factors.values():
-            if f.degree() == 0:
-                num = num * (_ONE / (f.content ** e))
-            else:
-                den_list.append((f, e))
-        out = []
-        for f, e in den_list:
+        if not num.is_zero:
             while e > 0:
-                q = num.exact_div(f)
+                q = num.exact_div(pole)
                 if q is None:
                     break
                 num = q
                 e -= 1
-            if e:
-                out.append((f, e))
         self.num = num
-        self.den = tuple(sorted(out, key=lambda fe: fe[0].key()))
+        self.den = ((pole, e),) if e and not num.is_zero else ()
 
     # -- constructors ----------------------------------------------------
     @classmethod
@@ -432,38 +426,17 @@ class Rat:
     def is_zero(self):
         return self.num.is_zero
 
-    def den_expanded(self):
-        if self._dx is None:
-            d = Poly.const(self.num.nvars, 1)
-            for f, e in self.den:
-                d = d * f ** e
-            self._dx = d
-        return self._dx
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
             other = Rat.of(other, self.num.nvars)
         if not isinstance(other, Rat):
             return NotImplemented
-        if self.den == other.den:
-            return self.num == other.num
-        return self.num * other.den_expanded() == other.num * self.den_expanded()
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
         raise TypeError("Rat is unhashable")
 
     # -- arithmetic --------------------------------------------------------
-    def _merge_den(self, other):
-        mine = {f.key(): (f, e) for f, e in self.den}
-        out = dict(mine)
-        for f, e in other.den:
-            k = f.key()
-            if k in out:
-                out[k] = (f, max(out[k][1], e))
-            else:
-                out[k] = (f, e)
-        return out
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
             other = Rat.of(other, self.num.nvars)
@@ -473,18 +446,23 @@ class Rat:
             return other
         if other.is_zero:
             return self
-        union = self._merge_den(other)
-        mine = {f.key(): e for f, e in self.den}
-        theirs = {f.key(): e for f, e in other.den}
+        if not (self.den or other.den):
+            return Rat(self.num + other.num)
+        # bring both over the larger power of the pole; other's pole object
+        # when both have one, as tests/reference_rat.py does, since the
+        # pole's term order reaches float eval
+        pole = (other.den or self.den)[0][0]
+        e1 = self.den[0][1] if self.den else 0
+        e2 = other.den[0][1] if other.den else 0
+        if e1 and e2 and self.den[0][0].terms != pole.terms:
+            raise ValueError(_TWO_POLES)
+        e = max(e1, e2)
         n1, n2 = self.num, other.num
-        for k, (f, e) in union.items():
-            d1 = e - mine.get(k, 0)
-            d2 = e - theirs.get(k, 0)
-            if d1:
-                n1 = n1 * f ** d1
-            if d2:
-                n2 = n2 * f ** d2
-        return Rat(n1 + n2, tuple(union.values()))
+        if e > e1:
+            n1 = n1 * pole ** (e - e1)
+        if e > e2:
+            n2 = n2 * pole ** (e - e2)
+        return Rat(n1 + n2, ((pole, e),))
 
     __radd__ = __add__
 
@@ -492,7 +470,6 @@ class Rat:
         r = Rat.__new__(Rat)
         r.num = -self.num
         r.den = self.den
-        r._dx = self._dx
         return r
 
     def __sub__(self, other):
@@ -510,7 +487,6 @@ class Rat:
             r = Rat.__new__(Rat)
             r.num = self.num * other
             r.den = self.den if not r.num.is_zero else ()
-            r._dx = None
             return r
         if isinstance(other, Poly):
             other = Rat(other)
@@ -520,51 +496,13 @@ class Rat:
 
     __rmul__ = __mul__
 
-    def inverse(self):
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero rational function")
-        c = self.num.content
-        n = Poly(self.num.nvars, self.num.terms, _ONE, normalized=True)
-        new_num = self.den_expanded() * (_ONE / c)
-        if n.degree() == 0:
-            return Rat(new_num)
-        return Rat(new_num, ((n, 1),))
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            other = Rat.of(other, self.num.nvars)
-        if not isinstance(other, Rat):
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return Rat.of(other, self.num.nvars) * self.inverse()
-
-    def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        r = Rat.of(1, self.num.nvars)
-        for _ in range(k):
-            r = r * self
-        return r
-
     def diff(self, i):
-        # d(u / prod f^e) = (u' prod f - u sum e_j f_j' prod_{k!=j} f_k)
-        #                   / prod f^{e+1}
         if not self.den:
             return Rat(self.num.diff(i))
-        fprod = Poly.const(self.num.nvars, 1)
-        for f, _ in self.den:
-            fprod = fprod * f
-        top = self.num.diff(i) * fprod
-        for j, (f, e) in enumerate(self.den):
-            rest = Poly.const(self.num.nvars, 1)
-            for k, (g, _) in enumerate(self.den):
-                if k != j:
-                    rest = rest * g
-            top = top - self.num * (f.diff(i) * rest) * e
-        den = tuple((f, e + 1) for f, e in self.den)
-        return Rat(top, den)
+        # d(u / f^e) = (u' f - e u f') / f^{e+1}
+        ((f, e),) = self.den
+        top = self.num.diff(i) * f - self.num * f.diff(i) * e
+        return Rat(top, ((f, e + 1),))
 
     def eval(self, vals):
         v = self.num.eval(vals)
@@ -575,12 +513,10 @@ class Rat:
     def to_str(self, names):
         if not self.den:
             return self.num.to_str(names)
-        dparts = []
-        for f, e in self.den:
-            s = f.to_str(names)
-            s = f"({s})" if (len(f.terms) > 1 or f.content != 1) else s
-            dparts.append(s if e == 1 else f"{s}^{e}")
-        return f"({self.num.to_str(names)})/({'*'.join(dparts)})"
+        ((f, e),) = self.den
+        s = f.to_str(names)
+        s = f"({s})" if len(f.terms) > 1 else s
+        return f"({self.num.to_str(names)})/({s if e == 1 else f'{s}^{e}'})"
 
     def __repr__(self):
         names = [f"v{i}" for i in range(self.num.nvars)]
@@ -605,12 +541,6 @@ class RatVecField:
     def zero(cls, nvars):
         z = Rat.zero(nvars)
         return cls([z] * nvars)
-
-    @classmethod
-    def basis(cls, nvars, i):
-        comps = [Rat.zero(nvars) for _ in range(nvars)]
-        comps[i] = Rat.of(1, nvars)
-        return cls(comps)
 
     @property
     def is_zero(self):
@@ -686,11 +616,6 @@ class RatVecField:
     def __repr__(self):
         names = [f"v{i}" for i in range(self.nvars)]
         return f"RatVecField(\n{self.dumps(names)}\n)"
-
-
-def lie_bracket(v, w):
-    """Lie bracket of two fields (module-level convenience)."""
-    return v.bracket(w)
 
 
 def sigma_pair(v, w):

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 import hashlib
 import json
+import math
 import warnings
 
 import pytest
@@ -181,6 +182,18 @@ class TestClassify:
         assert code == 0
         assert len(json.loads(out)["loss_times"]) == nzeros
 
+    def test_off_unit_speed_horizon_uses_scan(self, capsys):
+        # 1e-9 < |2H - 1|: the pendulum cross-check once raised NotUnitSpeed
+        # (exit 2) although the report names no stratum off unit speed
+        code, out, err = run(capsys, "classify", "--group", "goursat:4",
+                             "--covector", "0.6,0.8000001,1,0", "--T", "2")
+        assert code == 0 and err == ""
+        d = json.loads(out)
+        assert d["stratum"] is None
+        # h3 = 1, h4 = 0: the pole h1 turns at unit rate, zero at atan2(h1, h2)
+        (t0,) = d["loss_times"]
+        assert abs(t0 - math.atan2(0.6, 0.8000001)) < 1e-6
+
     def test_config_echo(self, capsys):
         code, out, _ = run(capsys, "classify", "--group", "cartan",
                            "--covector", "1,0,1,0,0", "--T", "2")
@@ -262,6 +275,16 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.splitlines() == ["error: --count must be >= 0, got -3"]
+
+    def test_slow_suite_without_checks_exit_2(self, capsys):
+        # once printed "OK: 0/0 checks passed" and exited 0
+        code, out, err = run(capsys, "verify", "--suite", "slow",
+                             "--group", "cartan")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: slow suite is defined for goursat:3 and goursat:4, "
+            "not cartan"]
 
     def test_failure_exit_6(self, capsys, monkeypatch):
         bad = oracle.CheckRow("forced", "exact", 1, 0, False)

@@ -6,8 +6,7 @@ import pytest
 from carnotcurv.errors import DimensionMismatch
 from carnotcurv.frames import frame_fields, h_frame, verify_bracket_identities
 from carnotcurv.groups import Covector
-from carnotcurv.symfields import (Poly, Rat, lie_bracket, sigma_pair,
-                                  sigma_pair_fields)
+from carnotcurv.symfields import Poly, Rat, sigma_pair, sigma_pair_fields
 
 
 def _rand_poly(rng, nvars=3, nterms=4, maxdeg=3):
@@ -68,30 +67,49 @@ class TestPoly:
 
 class TestRat:
     def test_cancellation_roundtrip(self, rng):
-        # (a/b) * (b/a) reduces to the canonical 1
+        # (a / p) * p and (a p^2) / p^3 reduce to the canonical a and a / p
         for _ in range(30):
-            a, b = _rand_poly(rng), _rand_poly(rng)
-            if a.is_zero or b.is_zero:
+            a, p = _rand_poly(rng), _rand_poly(rng)
+            if a.is_zero or p.degree() < 1:
                 continue
-            r = Rat(a, ((b, 1),)) * Rat(b, ((a, 1),))
-            assert r == Rat.of(1, a.nvars)
+            assert Rat(a, ((p, 1),)) * Rat(p) == Rat(a)
+            assert Rat(a * p * p, ((p, 3),)) == Rat(a, ((p, 1),))
 
     def test_gcd_reduction_idempotent(self):
         x = Poly.variable(2, 0)
         y = Poly.variable(2, 1)
-        r = Rat((x * x - y * y) * (x + y), ((x - y, 1), (x + y, 1)))
-        assert r == Rat(x + y)
+        r = Rat((x * x - y * y) * (x + y), ((x + y, 2),))
+        assert r == Rat(x - y)
         assert not r.den
+        r = Rat((x * x - y * y) * 3, ((x * 2 + y * 2, 2),))
+        assert r.den == ((x + y, 1),) and r.num == (x - y) * Fraction(3, 4)
+        assert Rat(r.num, r.den) == r
 
-    def test_add_mul_div(self, rng):
+    def test_add_mul_div(self):
         x = Poly.variable(2, 0)
         y = Poly.variable(2, 1)
-        half_x = Rat(x) / 2
+        half_x = Rat(x) * Fraction(1, 2)
         assert half_x + half_x == Rat(x)
-        r = Rat(x, ((y, 2),)) + Rat(y, ((x, 1),))
-        # common denominator x y^2
-        assert r == Rat(x * x + y * y * y, ((y, 2), (x, 1)))
-        assert (r / r) == Rat.of(1, 2)
+        r = Rat(x, ((y, 2),)) + Rat(Poly.const(2, 1), ((y, 1),))
+        # common denominator y^2
+        assert r == Rat(x + y, ((y, 2),))
+        assert r * Rat(y * y) == Rat(x + y)
+        assert (r - r).is_zero and not (r - r).den
+        # a constant factor folds into the numerator content
+        assert Rat(x, ((Poly.const(2, 3), 2),)) == Rat(x * Fraction(1, 9))
+
+    def test_one_pole_positive_power_enforced(self):
+        x = Poly.variable(2, 0)
+        y = Poly.variable(2, 1)
+        with pytest.raises(ValueError):
+            Rat(x, ((y, 1), (x + y, 1)))
+        with pytest.raises(ValueError):
+            Rat(x, ((y, -1),))
+        a, b = Rat(x, ((y, 1),)), Rat(y, ((x + y, 1),))
+        with pytest.raises(ValueError):
+            a + b
+        with pytest.raises(ValueError):
+            a * b
 
     def test_diff_quotient_rule(self):
         x = Poly.variable(2, 0)
@@ -152,10 +170,6 @@ class TestFields:
         for m in models.values():
             ff = frame_fields(m)
             assert sigma_pair_fields(ff.euler, ff.hvec) == ff.H * 2
-
-    def test_lie_bracket_module_function(self, models):
-        ff = frame_fields(models["goursat:3"])
-        assert lie_bracket(ff.hvec, ff.dh[2]) == -ff.dtheta
 
 
 class TestBracketIdentities:
