@@ -5,15 +5,20 @@ the exact polynomial Hamiltonian field (the Jacobian is the symbolic
 derivative, not finite differences) and compiled to plain Python functions
 on Python floats: the state is unpacked once, each power v_i**k is bound
 once, and the Jacobian writes only its structurally nonzero entries.  The
-values equal those of numpy-scalar evaluation bit for bit.  A power that
-overflows gives NaN values, not an OverflowError.  Conserved quantities are
-monitored and drift beyond a configurable bound (a NaN drift included) is an
-error rather than a silent failure.
+state part of an RK4 step is generated too, as one function with its four
+stages inlined, and the state is carried from step to step as a tuple of
+floats; the variational matrix keeps its numpy operations, its products
+BLAS matmuls.  The values equal those of numpy-scalar evaluation and of the
+numpy RK4 step bit for bit.  A power that overflows gives NaN values, not
+an OverflowError.  Conserved quantities are monitored and drift beyond a
+configurable bound (a NaN drift included) is an error rather than a silent
+failure.
 """
 from __future__ import annotations
 
 import contextlib
 import math
+from array import array
 
 import numpy as np
 
@@ -22,44 +27,102 @@ from .frames import frame_fields
 from .groups import Covector
 from .tolerances import DRIFT_TOL
 
-# The one template of the four generated functions.  Python's float ** calls
-# the same C pow as a numpy scalar's, and a bound power keeps the product
-# order, so the values match numpy-scalar code bit for bit.  Python floats
-# raise OverflowError where numpy would warn and return inf; every computed
-# value is then NaN (structural zeros of the Jacobian stay 0), and the NaN
-# drift fails the drift check of integrate_flow.
+# The template of the four generated functions of one state.  Python's
+# float ** calls the same C pow as a numpy scalar's, and a bound power keeps
+# the product order, so the values match numpy-scalar code bit for bit.
+# Python floats raise OverflowError where numpy would warn and return inf;
+# every computed value is then NaN (structural zeros of the Jacobian stay 0),
+# and the NaN drift fails the drift check of integrate_flow.
 _TEMPLATE = """\
 def {name}(y):
-    {unpack} = y.tolist()
+    {unpack} = y if y.__class__ is tuple else y.tolist()
     try:
 {powers}        out = [{exprs}]
     except OverflowError:
         out = [math.nan] * {count}
 {tail}"""
 
+# One RK4 step of the state with the four stages inlined.  The state and the
+# stage states y2, y3, y4 are the variables y*, u*, w*, z*, and the stage
+# slopes k1..k4 are a*, b*, c*, d*.  Each element is computed as in the
+# numpy step, y + (0.5*dt)*k and y + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4), so
+# the bits are the same; an overflowing power makes that stage's slopes NaN.
+_STEP = """\
+def step(y, dt):
+    {unpack} = y if y.__class__ is tuple else y.tolist()
+    h2 = 0.5 * dt
+{k1}{y2}{k2}{y3}{k3}{y4}{k4}    h6 = dt / 6.0
+    return ({y_next}), ({u}), ({w}), ({z})
+"""
+_STAGE = """\
+    try:
+{powers}{slopes}    except OverflowError:
+        {nan} = math.nan
+"""
 
-def _function(name, nvars, polys, tail):
-    """Source of a function of y (nvars floats): out lists the values of
-    polys, and tail returns the result built from it."""
+
+def _exprs(polys, var):
+    """Source expressions of polys in the variables var0, var1, ..., and the
+    lines binding each power var_i**k (k > 1) that they use."""
     used = set()
 
     def power(i, k):
         if k == 1:
-            return f"v{i}"
+            return f"{var}{i}"
         used.add((i, k))
-        return f"v{i}_{k}"
+        return f"{var}{i}_{k}"
 
     exprs = [p.to_pyexpr(power) for p in polys]
+    return exprs, "".join(f"        {var}{i}_{k} = {var}{i}**{k}\n"
+                          for i, k in sorted(used))
+
+
+def _function(name, nvars, polys, tail):
+    """Source of a function of y (nvars floats): out lists the values of
+    polys, and tail returns the result built from it."""
+    exprs, powers = _exprs(polys, "v")
     return _TEMPLATE.format(
         name=name, unpack=", ".join(f"v{i}" for i in range(nvars)),
-        powers="".join(f"        v{i}_{k} = v{i}**{k}\n"
-                       for i, k in sorted(used)),
-        exprs=", ".join(exprs), count=len(exprs), tail=tail)
+        powers=powers, exprs=", ".join(exprs), count=len(exprs), tail=tail)
+
+
+def _step(comps):
+    """Source of step(y, dt) for the field with components comps."""
+    idx = range(len(comps))
+    # the source names no variable but v*, so each stage renames it
+    exprs, powers = _exprs(comps, "v")
+    slopes = "".join(f"        {{slope}}{i} = {e}\n"
+                     for i, e in enumerate(exprs))
+
+    def stage(var, slope):
+        return _STAGE.format(
+            powers=powers.replace("v", var),
+            slopes=slopes.replace("v", var).format(slope=slope),
+            nan=" = ".join(f"{slope}{i}" for i in idx))
+
+    def update(state, h, slope):
+        return "".join(f"    {state}{i} = y{i} + {h}*{slope}{i}\n"
+                       for i in idx)
+
+    def names(var):
+        return ", ".join(f"{var}{i}" for i in idx)
+
+    return _STEP.format(
+        unpack=names("y"),
+        k1=stage("y", "a"), y2=update("u", "h2", "a"),
+        k2=stage("u", "b"), y3=update("w", "h2", "b"),
+        k3=stage("w", "c"), y4=update("z", "dt", "c"),
+        k4=stage("z", "d"),
+        y_next=", ".join(f"y{i} + h6*(((a{i} + 2*b{i}) + 2*c{i}) + d{i})"
+                         for i in idx),
+        u=names("u"), w=names("w"), z=names("z"))
 
 
 class CompiledFlow:
     """Generated numeric callables for one model: rhs(y) and h_of(y) return
-    arrays, H_of(y) a float, jac(y) the dense 2n x 2n Jacobian."""
+    arrays, H_of(y) a float, jac(y) the dense 2n x 2n Jacobian, and
+    step(y, dt) the RK4 step of the state as tuples (y_next, y2, y3, y4).
+    Each takes y as a tuple of floats or a float array."""
 
     def __init__(self, model):
         ff = frame_fields(model)
@@ -79,14 +142,19 @@ class CompiledFlow:
                            f"    return J\n")
                + _function("h_of", N, ff.h_poly, array)
                + _function("H_of", N, [ff.H_poly], "    return out[0]\n"))
+        step = _step(comps)
 
         ns = {"np": np, "math": math,
               "JAC_INDEX": np.array([k for k, _ in entries], dtype=np.intp)}
-        exec(compile(src, f"<flow:{model.spec_string}>", "exec"), ns)
+        # one compile per part keeps the parser's peak memory to the larger
+        for part in (src, step):
+            exec(compile(part, f"<flow:{model.spec_string}>", "exec"), ns)
+        src += step
         self.rhs = ns["rhs"]
         self.jac = ns["jac"]
         self.h_of = ns["h_of"]
         self.H_of = ns["H_of"]
+        self.step = ns["step"]
         self.source = src
 
 
@@ -98,17 +166,11 @@ def rk4_step(cf, y, dt, M=None):
     """One classical RK4 step of the flow from y; also steps the variational
     matrix M (y' = rhs(y), M' = jac(y) M) when one is given.
 
-    Returns (y, M) at t + dt, M being None when none was given.
+    Returns (y, M) at t + dt, y as a tuple of floats and M being None when
+    none was given.  The state part is the generated cf.step; the matrix
+    part stays numpy, its products BLAS matmuls.
     """
-    rhs = cf.rhs
-    k1 = rhs(y)
-    y2 = y + 0.5 * dt * k1
-    k2 = rhs(y2)
-    y3 = y + 0.5 * dt * k2
-    k3 = rhs(y3)
-    y4 = y + dt * k3
-    k4 = rhs(y4)
-    y_next = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    y_next, y2, y3, y4 = cf.step(y, dt)
     if M is None:
         return y_next, None
     jac = cf.jac
@@ -300,24 +362,26 @@ def integrate_flow(model, cov, T, step=1e-3, with_variational=False,
             traj = Trajectory(model, t1.ts, ys, Ms)
         else:
             cf = compiled_flow(model)
-            n = model.dim
-            y = np.array([float(v) for v in cov.xp()])
+            N = 2 * model.dim
+            y = tuple(float(v) for v in cov.xp())
             hstep = math.copysign(abs(T) / nsteps, T)
 
-            # rk4_step returns fresh arrays, so the stored samples need no
-            # copy
-            M = np.eye(2 * n) if with_variational else None
-            ts, ys, Ms = [0.0], [y], [M]
+            # the state is a tuple of floats, its samples packed into one
+            # float buffer; rk4_step returns fresh matrices, so the stored
+            # samples need no copy
+            M = np.eye(N) if with_variational else None
+            ts, ys, Ms = [0.0], array("d", y), [M]
             t = 0.0
             for k in range(nsteps):
                 y, M = rk4_step(cf, y, hstep, M)
                 t += hstep
                 if (k + 1) % store_every == 0 or k == nsteps - 1:
                     ts.append(t)
-                    ys.append(y)
+                    ys.extend(y)
                     Ms.append(M)
 
-            traj = Trajectory(model, np.array(ts), np.array(ys),
+            traj = Trajectory(model, np.array(ts),
+                              np.frombuffer(ys).reshape(-1, N),
                               np.array(Ms) if with_variational else None)
         if drift_bound is None:
             return traj

@@ -181,6 +181,23 @@ class TestHigherDiagonal:
         assert all(resid)
         assert vals[0] == oc.r11_exact(m, cov)
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_wrong_next_F_fails_the_darboux_check(self, models, rng,
+                                                  monkeypatch, exact):
+        # doubling the flow derivative doubles F_{a,2} = R E_{a1} - dF_{a1},
+        # so sigma(E_{a2}, F_{a2}) = 2 and the first entry is False
+        m = models["goursat:4"]
+        cov = oc.random_rational_unit_covector(m, rng)
+        if not exact:
+            cov = cov.as_float()
+        hf = oc.oracle_fields(m).hf
+        assert all(oc.higher_diagonal_invariants(m, cov)[1])
+        bracket = hf.bracket
+        monkeypatch.setattr(hf, "bracket",
+                            lambda v, w: bracket(v, w) + bracket(v, w))
+        _, resid = oc.higher_diagonal_invariants(m, cov, i_max=1)
+        assert resid == [False]
+
     def test_index_guard(self, models):
         g3 = models["goursat:3"]
         cov = Covector.from_h(g3, (1, 0, 1))
@@ -248,6 +265,26 @@ class TestCostProbe:
         q = oc.cost_hessian_probe(g3, Covector.from_h(g3, (1.0, 0.0, 1.0)), t=0.1)
         assert abs(q[0, 0] - 400) <= 0.05 * 400
         assert abs(q[1, 1] - 100) <= 0.05 * 100
+
+    def test_shoot_integrates_the_matrix_once_per_newton_step(
+            self, models, monkeypatch):
+        # the residual of an accepted iterate is read from the line search's
+        # trajectory, so a converged shoot ends on a run without the matrix
+        g3 = models["goursat:3"]
+        cov = Covector.from_h(g3, (1.0, 0.0, 1.0)).as_float()
+        target = oc.integrate_flow(g3, cov, 0.1, step=1e-3).ys[-1][:3]
+        calls = []
+        flow = oc.integrate_flow
+
+        def counting(*args, **kw):
+            calls.append(kw.get("with_variational", False))
+            return flow(*args, **kw)
+
+        monkeypatch.setattr(oc, "integrate_flow", counting)
+        p0 = [float(v) + 0.01 for v in cov.p]
+        H = oc._shoot(g3, [float(v) for v in cov.base], p0, target, 0.1)
+        assert abs(H - 0.5) < 1e-12
+        assert calls == [True, False] * 3
 
     def test_flat_direction_still_defined(self, models):
         g3 = models["goursat:3"]
