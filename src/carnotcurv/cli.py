@@ -282,7 +282,7 @@ def cmd_sweep(args):
         values = [E]
         try:
             r = curvature_mod.r11(model, cov)
-            slack = curvature_mod.energy_bound(model, cov) - r
+            slack = curvature_mod.bound_slack(model, cov)
             values += [r, slack]
             r_s, slack_s = f"{r:.17g}", f"{slack:.17g}"
         except SingularCovector:

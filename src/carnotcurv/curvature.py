@@ -211,11 +211,21 @@ def sflat_model(diagram, r11_value, t):
 
 
 def bound_slack(model, cov):
-    """bound - R11; equals 6 h3^2/h1^2 (Engel) or 8 (h1h4+h2h5)^2/h3^2 (Cartan)."""
-    b = energy_bound(model, cov)
-    if b is None:
+    """energy_bound - R11 in closed form, so large |E| does not cancel it:
+    6 h3^2 (h1^2 + h2^2)/h1^2 (Engel) or 8 (h1h4 + h2h5)^2/h3^2 (Cartan).
+    None where no bound is stated; SingularCovector at the pole of R11."""
+    if not model.has_pendulum:
         return None
-    return b - r11(model, cov)
+    h = cov.h
+    i = model.pole_index
+    pole = h[i - 1]
+    check_pole(pole, cov.exact, f"h{i}")
+    if model.kind == "goursat":
+        top = 6 * h[2] * h[2] * (h[0] * h[0] + h[1] * h[1])
+    else:
+        cross = h[0] * h[3] + h[1] * h[4]
+        top = 8 * cross * cross
+    return top / (pole * pole)
 
 
 def goursat_r_coefficient(n):

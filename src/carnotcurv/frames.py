@@ -190,6 +190,8 @@ class HFrame:
         self.cc = [[model.c(i + 1, j + 1) for j in range(n)] for i in range(n)]
 
         h = self.h
+        # 2H - 1 = h1^2 + h2^2 - 1, zero on the unit cotangent cylinder
+        self.cylinder = (h[0] * h[0] + h[1] * h[1]).num - 1
         a_h = [h[0], h[1]] + [self.zero] * (n - 2)
         b_h = []
         for k in range(n):
@@ -313,34 +315,12 @@ class HFrame:
 
         Returns a 2n x 2n nested tuple: rows 0..n-1 are the horizontal lifts
         X_1..X_n, rows n..2n-1 the vertical fields d/dh_1..d/dh_n, each as a
-        (x-components, p-components) vector.  Exact for rational covectors.
+        (x-components, p-components) vector: the fields of frame_fields
+        evaluated at (x, p).  Exact for rational covectors.
         """
-        from .groups import fiber_transform
-        n = self.n
-        m = self.model
-        amat, ainv = fiber_transform(m, cov.base)
-        x = cov.base
-        p = cov.p
-        rows = []
-        for i in range(n):
-            # lift X_i: x-part = row i of A; p-part solves A c = -(D_{X_i} A) p
-            da_p = []
-            for k in range(n):
-                acc = 0
-                for jj in range(n):
-                    dkj = 0
-                    for mm in range(n):
-                        dpoly = m.a_base[k][jj].diff(mm)
-                        if not dpoly.is_zero:
-                            dkj += m.a_base[i][mm].eval(x) * dpoly.eval(x)
-                    if dkj:
-                        acc += dkj * p[jj]
-                da_p.append(acc)
-            pcomp = [-sum(ainv[j][k] * da_p[k] for k in range(n)) for j in range(n)]
-            rows.append(tuple(amat[i]) + tuple(pcomp))
-        for i in range(n):
-            rows.append((0,) * n + tuple(ainv[j][i] for j in range(n)))
-        return tuple(rows)
+        ff = frame_fields(self.model)
+        pt = list(cov.xp())
+        return tuple(f.eval(pt) for f in ff.lift + ff.dh)
 
     def to_canonical_at(self, v, cov, basis=None):
         """Components of the field at a covector, in canonical (x, p) coords."""
@@ -390,6 +370,14 @@ class IdentityCheck:
         return f"IdentityCheck({self.name!r}, {'pass' if self.holds else 'FAIL'}{tag})"
 
 
+def vanishes_on(cylinder, comps):
+    """True when every rational-function component vanishes on {cylinder = 0}:
+    its numerator is exactly divisible by the cylinder polynomial (the poles
+    of the frame are coprime to it)."""
+    return all(c.is_zero or c.num.exact_div(cylinder) is not None
+               for c in comps)
+
+
 def verify_bracket_identities(model):
     """Check the fiber bracket identities of the model as exact field equalities.
 
@@ -418,17 +406,10 @@ def verify_bracket_identities(model):
     def add(name, lhs, rhs):
         if lhs == rhs:
             checks.append(IdentityCheck(name, True))
-            return
-        # exact equality on {2H = 1}: every component of the difference must
-        # be divisible by 2H - 1 (components are coprime to the h-pole dens)
-        ok = True
-        for c in (lhs - rhs).comps:
-            if c.is_zero:
-                continue
-            if c.num.exact_div(cylinder) is None:
-                ok = False
-                break
-        checks.append(IdentityCheck(name, ok, mod_unit_cylinder=True))
+        else:
+            checks.append(IdentityCheck(
+                name, vanishes_on(cylinder, (lhs - rhs).comps),
+                mod_unit_cylinder=True))
 
     x3 = ff.lift[2]
     add("[H,X_theta] = -X3 + h3*X_thetabar",

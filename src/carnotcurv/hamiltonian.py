@@ -27,26 +27,23 @@ from .frames import frame_fields
 from .groups import Covector
 from .tolerances import DRIFT_TOL
 
-# The template of the four generated functions of one state.  Python's
-# float ** calls the same C pow as a numpy scalar's, and a bound power keeps
-# the product order, so the values match numpy-scalar code bit for bit.
-# Python floats raise OverflowError where numpy would warn and return inf;
-# every computed value is then NaN (structural zeros of the Jacobian stay 0),
-# and the NaN drift fails the drift check of integrate_flow.
-_TEMPLATE = """\
-def {name}(y):
-    {unpack} = y if y.__class__ is tuple else y.tolist()
+# The generated code binds each power v_i**k once and keeps the product
+# order, and Python's float ** calls the same C pow as a numpy scalar's, so
+# the values match numpy-scalar code bit for bit.  Python floats raise
+# OverflowError where numpy would warn and return inf; every value of that
+# block is then NaN (structural zeros of the Jacobian stay 0), and the NaN
+# drift fails the drift check of integrate_flow.
+_STAGE = """\
     try:
-{powers}        out = [{exprs}]
-    except OverflowError:
-        out = [math.nan] * {count}
-{tail}"""
+{powers}{values}    except OverflowError:
+        {nan} = math.nan
+"""
 
 # One RK4 step of the state with the four stages inlined.  The state and the
 # stage states y2, y3, y4 are the variables y*, u*, w*, z*, and the stage
 # slopes k1..k4 are a*, b*, c*, d*.  Each element is computed as in the
 # numpy step, y + (0.5*dt)*k and y + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4), so
-# the bits are the same; an overflowing power makes that stage's slopes NaN.
+# the bits are the same.
 _STEP = """\
 def step(y, dt):
     {unpack} = y if y.__class__ is tuple else y.tolist()
@@ -54,16 +51,15 @@ def step(y, dt):
 {k1}{y2}{k2}{y3}{k3}{y4}{k4}    h6 = dt / 6.0
     return ({y_next}), ({u}), ({w}), ({z})
 """
-_STAGE = """\
-    try:
-{powers}{slopes}    except OverflowError:
-        {nan} = math.nan
-"""
 
 
-def _exprs(polys, var):
-    """Source expressions of polys in the variables var0, var1, ..., and the
-    lines binding each power var_i**k (k > 1) that they use."""
+def _names(var, count):
+    return ", ".join(f"{var}{i}" for i in range(count))
+
+
+def _stage(polys, var, out):
+    """Source of the block that assigns the values of polys in the variables
+    var0, var1, ... to out0, out1, ..., NaN on overflow."""
     used = set()
 
     def power(i, k):
@@ -72,50 +68,40 @@ def _exprs(polys, var):
         used.add((i, k))
         return f"{var}{i}_{k}"
 
-    exprs = [p.to_pyexpr(power) for p in polys]
-    return exprs, "".join(f"        {var}{i}_{k} = {var}{i}**{k}\n"
-                          for i, k in sorted(used))
+    values = "".join(f"        {out}{i} = {p.to_pyexpr(power)}\n"
+                     for i, p in enumerate(polys))
+    return _STAGE.format(
+        powers="".join(f"        {var}{i}_{k} = {var}{i}**{k}\n"
+                       for i, k in sorted(used)),
+        values=values, nan=" = ".join(f"{out}{i}" for i in range(len(polys))))
 
 
 def _function(name, nvars, polys, tail):
     """Source of a function of y (nvars floats): out lists the values of
     polys, and tail returns the result built from it."""
-    exprs, powers = _exprs(polys, "v")
-    return _TEMPLATE.format(
-        name=name, unpack=", ".join(f"v{i}" for i in range(nvars)),
-        powers=powers, exprs=", ".join(exprs), count=len(exprs), tail=tail)
+    return (f"def {name}(y):\n"
+            f"    {_names('v', nvars)} = y if y.__class__ is tuple "
+            f"else y.tolist()\n" + _stage(polys, "v", "o")
+            + f"    out = [{_names('o', len(polys))}]\n" + tail)
 
 
 def _step(comps):
     """Source of step(y, dt) for the field with components comps."""
-    idx = range(len(comps))
-    # the source names no variable but v*, so each stage renames it
-    exprs, powers = _exprs(comps, "v")
-    slopes = "".join(f"        {{slope}}{i} = {e}\n"
-                     for i, e in enumerate(exprs))
-
-    def stage(var, slope):
-        return _STAGE.format(
-            powers=powers.replace("v", var),
-            slopes=slopes.replace("v", var).format(slope=slope),
-            nan=" = ".join(f"{slope}{i}" for i in idx))
+    count = len(comps)
 
     def update(state, h, slope):
         return "".join(f"    {state}{i} = y{i} + {h}*{slope}{i}\n"
-                       for i in idx)
-
-    def names(var):
-        return ", ".join(f"{var}{i}" for i in idx)
+                       for i in range(count))
 
     return _STEP.format(
-        unpack=names("y"),
-        k1=stage("y", "a"), y2=update("u", "h2", "a"),
-        k2=stage("u", "b"), y3=update("w", "h2", "b"),
-        k3=stage("w", "c"), y4=update("z", "dt", "c"),
-        k4=stage("z", "d"),
+        unpack=_names("y", count),
+        k1=_stage(comps, "y", "a"), y2=update("u", "h2", "a"),
+        k2=_stage(comps, "u", "b"), y3=update("w", "h2", "b"),
+        k3=_stage(comps, "w", "c"), y4=update("z", "dt", "c"),
+        k4=_stage(comps, "z", "d"),
         y_next=", ".join(f"y{i} + h6*(((a{i} + 2*b{i}) + 2*c{i}) + d{i})"
-                         for i in idx),
-        u=names("u"), w=names("w"), z=names("z"))
+                         for i in range(count)),
+        u=_names("u", count), w=_names("w", count), z=_names("z", count))
 
 
 class CompiledFlow:

@@ -24,14 +24,14 @@ import numpy as np
 
 from .errors import (IllConditioned, IndexOutOfRange, LemmaConditionFailed,
                      ShootingDiverged, StepUnbalanced)
-from .frames import h_frame
+from .frames import frame_fields, h_frame, vanishes_on
 from .groups import Covector, fiber_transform
 from .hamiltonian import compiled_flow, integrate_flow
 from .symfields import Poly, Rat, sigma_pair
-from .tolerances import (CLOSURE_TOL, DRIFT_TOL, FIT_B_ZERO_TOL,
-                         FIT_COND_MAX, FIT_LEAD_TOL, FIT_LIN_TOL, NORM_TOL,
-                         PAIRING_TOL, PROBE_BALANCE_TOL, PROBE_REL_TOL,
-                         PROBE_UNIT_TOL, SCAN_DRIFT_TOL, SHOOT_TOL)
+from .tolerances import (DRIFT_TOL, FIT_B_ZERO_TOL, FIT_COND_MAX,
+                         FIT_LEAD_TOL, FIT_LIN_TOL, NORM_TOL, PAIRING_TOL,
+                         PROBE_BALANCE_TOL, PROBE_REL_TOL, PROBE_UNIT_TOL,
+                         SCAN_DRIFT_TOL, SHOOT_TOL)
 from . import curvature as _curv
 
 # Laurent fit: RK4 step, and the geomspace (start, stop, num) of its t-grid
@@ -79,7 +79,7 @@ def canonical_E_top(model, cov):
     Checks, exactly: the field and its first n_a - 1 flow derivatives are
     vertical (project to zero), and the symplectic normalization
     sigma(E^{(n_a)}, E^{(n_a-1)}) = 1 at the covector.  Returns the field in
-    canonical coordinates.
+    canonical coordinates, frame_fields(model).w_top.
     """
     _require_pole(model, cov)
     of = oracle_fields(model)
@@ -94,7 +94,7 @@ def canonical_E_top(model, cov):
         raise LemmaConditionFailed(
             f"sigma(E^(n_a), E^(n_a-1)) = {norm} at the covector, expected 1 "
             "(is it unit-speed?)")
-    return of.hf.to_canonical_field(of.hf.w_top)
+    return frame_fields(model).w_top
 
 
 def r11_exact(model, cov):
@@ -163,21 +163,22 @@ def aij_coefficients(model, cov, i):
     return [c.eval(hvals) for c in closed]
 
 
-class PairingCheck:
-    """One Darboux pairing row: name, expected, actual, pass."""
+class CheckRow:
+    """One verification result row."""
 
-    __slots__ = ("name", "expected", "actual", "passed")
+    __slots__ = ("name", "mode", "expected", "actual", "passed")
 
-    def __init__(self, name, expected, actual, exact):
+    def __init__(self, name, mode, expected, actual, passed):
         self.name = name
+        self.mode = mode
         self.expected = expected
         self.actual = actual
-        self.passed = (actual == expected) if exact else \
-            abs(float(actual) - float(expected)) < PAIRING_TOL
+        self.passed = bool(passed)
 
-    def __repr__(self):
-        return f"PairingCheck({self.name}: {self.actual} vs {self.expected}, " \
-               f"{'pass' if self.passed else 'FAIL'})"
+    def to_dict(self):
+        return {"name": self.name, "mode": self.mode,
+                "expected": str(self.expected), "actual": str(self.actual),
+                "pass": self.passed}
 
 
 def _frame_boxes(model):
@@ -197,18 +198,20 @@ def frame_darboux_check(model, cov):
 
     sigma(E, E) = 0, sigma(F_a1, F_b1) = 0, sigma(E_ai, F_a1) = delta_i1,
     sigma(E_ai, F_b1) = 0, sigma(E_b1, F_b1) = 2H = 1 at unit speed.
-    Exact for exact covectors.
+    Exact for exact covectors, within PAIRING_TOL for float ones.
     """
     _require_pole(model, cov)
-    of = oracle_fields(model)
-    hf = of.hf
+    hf = h_frame(model)
     hvals = list(cov.h)
     e_boxes, f_a1, f_b1 = _frame_boxes(model)
+    mode = "exact" if cov.exact else "float"
     rows = []
 
     def pair(name, va, vb, want):
         val = hf.sigma(va, vb).eval(hvals)
-        rows.append(PairingCheck(name, want, val, cov.exact))
+        ok = (val == want) if cov.exact else \
+            abs(float(val) - float(want)) < PAIRING_TOL
+        rows.append(CheckRow(name, mode, want, val, ok))
 
     for i, (na_, fa) in enumerate(e_boxes):
         for nb_, fb in e_boxes[i + 1:]:
@@ -357,11 +360,12 @@ def higher_diagonal_invariants(model, cov, i_max=None):
 
     F_{a,i+1} = R_{aa,ii} E_{ai} - dF_{ai}/dt realized on fields through the
     flow derivative ad_H; R_{aa,ii} = sigma(dF_{ai}/dt, F_{ai}).  Entry
-    i = 1 must equal the exact R11.  residuals has one check per step, at
-    the covector: for i < n_a the Darboux pairing
-    sigma(E_{a,i+1}, F_{a,i+1}) = 1 of the new F, and for i = n_a the
-    closure dF_{a n_a}/dt = R_{aa,n_a n_a} E_{a n_a}.  Exact covectors are
-    checked exactly, float ones within PAIRING_TOL and CLOSURE_TOL.
+    i = 1 must equal the exact R11.  residuals has one check per step: for
+    i < n_a the Darboux pairing sigma(E_{a,i+1}, F_{a,i+1}) = 1 of the new
+    F at the covector (exactly, or within PAIRING_TOL for a float
+    covector), and for i = n_a the closure dF_{a n_a}/dt = R_{aa,n_a n_a}
+    E_{a n_a}, an identity of the model on the unit cylinder 2H = 1 that
+    is decided exactly whatever the covector.
     """
     of = oracle_fields(model)
     hf = of.hf
@@ -391,11 +395,7 @@ def higher_diagonal_invariants(model, cov, i_max=None):
         else:
             # closure: dF_{a n_a} = R_{aa,n_a n_a} E_{a n_a} on the cylinder
             resid = dF - E_ai.smul(r_fun)
-            vals = [c.eval(hvals) for c in resid.a + resid.b]
-            if cov.exact:
-                residuals.append(all(v == 0 for v in vals))
-            else:
-                residuals.append(all(abs(v) < CLOSURE_TOL for v in vals))
+            residuals.append(vanishes_on(hf.cylinder, resid.a + resid.b))
     return values, residuals
 
 
@@ -490,11 +490,11 @@ def cost_hessian_probe(model, cov, t=0.1):
     """
     cov = cov.as_float()
     n = model.dim
-    of = oracle_fields(model)
-    hf = of.hf
+    hf = h_frame(model)
     basis = hf.basis_at(cov)
-    fa1 = np.array(hf.to_canonical_at(-of.G[of.n_a], cov, basis=basis))[:n]
-    fb1 = np.array(hf.to_canonical_at(hf.hvec, cov, basis=basis))[:n]
+    _, f_a1, f_b1 = _frame_boxes(model)
+    fa1, fb1 = (np.array(hf.to_canonical_at(f, cov, basis=basis))[:n]
+                for _, f in (f_a1, f_b1))
     na1 = np.linalg.norm(fa1)
     nb1 = np.linalg.norm(fb1)
     if abs(na1 - 1) > PROBE_UNIT_TOL or abs(nb1 - 1) > PROBE_UNIT_TOL:
@@ -579,24 +579,6 @@ def random_unit_covector(model, rng, pole_min=0.1):
             return Covector.from_h(model, h)
 
 
-class CheckRow:
-    """One verification result row."""
-
-    __slots__ = ("name", "mode", "expected", "actual", "passed")
-
-    def __init__(self, name, mode, expected, actual, passed):
-        self.name = name
-        self.mode = mode
-        self.expected = expected
-        self.actual = actual
-        self.passed = bool(passed)
-
-    def to_dict(self):
-        return {"name": self.name, "mode": self.mode,
-                "expected": str(self.expected), "actual": str(self.actual),
-                "pass": self.passed}
-
-
 def run_exact_suite(model, count=50, seed=0):
     """Exact-arithmetic suite: bracket identities, frame conditions, a_ij,
     Darboux pairings, and count exact R11 matches."""
@@ -614,9 +596,9 @@ def run_exact_suite(model, count=50, seed=0):
     except LemmaConditionFailed as exc:
         rows.append(CheckRow(f"{model.spec_string} top-frame conditions",
                              "exact", "verified", str(exc), False))
-    for chk in frame_darboux_check(model, cov):
-        rows.append(CheckRow(f"{model.spec_string} {chk.name}", "exact",
-                             chk.expected, chk.actual, chk.passed))
+    for row in frame_darboux_check(model, cov):
+        row.name = f"{model.spec_string} {row.name}"
+        rows.append(row)
     if model.kind == "goursat" and model.dim >= 5:
         i = model.dim - 3
         try:

@@ -51,8 +51,6 @@ ZERO_TIME_WINDOW = 1e-12
 NORM_TOL = 1e-10
 # a Darboux pairing of the canonical frame at a float covector
 PAIRING_TOL = 1e-10
-# closure residual of the higher-diagonal recursion at a float covector
-CLOSURE_TOL = 1e-9
 # graph-map solves of the Laurent fit with a larger condition number are dropped
 FIT_COND_MAX = 1e12
 # end-point residual of Newton shooting

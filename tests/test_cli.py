@@ -377,16 +377,30 @@ class TestSweep:
         assert out == ""
         assert err.splitlines() == [
             "error: sweep point theta=0, c=1.0000000000000001e+300, alpha=1, "
-            "beta=0 gives non-finite values (E = inf, r11 = inf, slack = nan)"]
+            "beta=0 gives non-finite values (E = inf, r11 = inf, slack = 0)"]
+
+    def test_slack_does_not_cancel_at_large_energy(self, capsys):
+        # bound - R11 lost every digit to the 4E = -5.4e299 it cancels; the
+        # closed form 6 h3^2 (h1^2 + h2^2)/h1^2 keeps them
+        code, out, _ = run(capsys, "sweep", "--group", "goursat:4", "--grid",
+                           "theta=0:1:2,c=1:1:1,alpha=1e300:1e300:1")
+        assert code == 0
+        lines = out.splitlines()
+        si = lines[1].split(",").index("slack")
+        row = lines[3].split(",")
+        assert row[0] == "1"
+        assert float(row[si]) == 8.473697564624352
 
     def test_deterministic(self, capsys):
+        # pinned when the slack column became the closed form of
+        # bound - R11: only slack digits in the last place moved
         for group, grid, digest in (
                 ("goursat:4", "theta=0.4:2.8:3,c=0.5:1.5:2,alpha=-1:1:3",
-                 "ebee943833fdb6e5b7d886156894f8a5"
-                 "069f19281874505c51937216d02a681f"),
+                 "7d15b94d94a40290393ad158ab62625b"
+                 "739afcb799598e05c7c799b422c095f0"),
                 ("cartan", "theta=-3:3:4,c=0:1.5:3,alpha=0:1.2:3,beta=-1:1:2",
-                 "9ae4e146a4e28a8f2b761c3e2fb8901b"
-                 "c9e06c3e6bcbc72dbbcc806f35d71ba3")):
+                 "2ce5d6c9859ccb36fc1a2262c799cf6c"
+                 "fd46564d65cc416188ae0c1c74cec264")):
             args = ("sweep", "--group", group, "--grid", grid)
             _, out1, _ = run(capsys, *args)
             _, out2, _ = run(capsys, *args)

@@ -81,6 +81,25 @@ class TestR11:
         # n = 3 has no pole: the singular term carries a zero coefficient
         assert cv.r11_goursat(3, (0, 1, 2)) == 4
 
+    def test_slack_is_bound_minus_r11_exactly(self, models, rng):
+        # the closed form is an identity: off the unit cylinder too
+        for spec in ("goursat:4", "cartan"):
+            m = models[spec]
+            for _ in range(50):
+                h = [Fraction(int(rng.integers(-30, 31)),
+                              int(rng.integers(1, 12))) for _ in range(m.dim)]
+                if h[m.pole_index - 1] == 0:
+                    continue
+                cov = Covector.from_h(m, h)
+                want = cv.energy_bound(m, cov) - cv.r11(m, cov)
+                assert cv.bound_slack(m, cov) == want
+            pole = [Fraction(1, 2)] * m.dim
+            pole[m.pole_index - 1] = 0
+            with pytest.raises(SingularCovector):
+                cv.bound_slack(m, Covector.from_h(m, pole))
+        g5 = models["goursat:5"]
+        assert cv.bound_slack(g5, Covector.from_h(g5, (1, 0, 1, 0, 0))) is None
+
     def test_bounds_with_slack_form(self, models, rng):
         g4, cc = models["goursat:4"], models["cartan"]
         for _ in range(1000):

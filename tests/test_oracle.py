@@ -1,11 +1,13 @@
 """Independent verification routes: exact frame brackets, Laurent fit, probes."""
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from carnotcurv.errors import (IllConditioned, IndexOutOfRange,
                                LemmaConditionFailed, SingularCovector)
-from carnotcurv.groups import Covector
+from carnotcurv.frames import h_frame
+from carnotcurv.groups import Covector, build_group
 from carnotcurv import curvature as cv
 from carnotcurv import oracle as oc
 from carnotcurv.tolerances import FIT_B_ZERO_TOL
@@ -38,6 +40,16 @@ class TestCanonicalETop:
         oc.canonical_E_top(cc, cov)      # raises on any condition failure
         of = oc.oracle_fields(cc)
         assert of.norm_fun.eval(list(cov.h)) == 1
+
+    @pytest.mark.parametrize("spec", ["goursat:3", "goursat:4", "goursat:5",
+                                      "goursat:6", "goursat:7", "goursat:8",
+                                      "cartan"])
+    def test_is_the_converted_seed_field(self, rng, spec):
+        # the canonical W of frame_fields is the h-frame W, converted
+        m = build_group(spec)
+        hf = h_frame(m)
+        cov = oc.random_rational_unit_covector(m, rng)
+        assert oc.canonical_E_top(m, cov) == hf.to_canonical_field(hf.w_top)
 
     def test_rejects_non_unit_and_pole(self, models):
         g5 = models["goursat:5"]
@@ -169,11 +181,10 @@ class TestHigherDiagonal:
         assert len(vals) == 2 and len(resid) == 2
         assert resid[-1]     # frame closes exactly at the covector
 
-    @pytest.mark.parametrize("spec", ["goursat:4", "goursat:5"])
+    @pytest.mark.parametrize("spec", ["goursat:4", "goursat:5", "cartan"])
     def test_full_recursion_closes(self, models, rng, spec):
         # the last structural equation has no F_{a,i+1} term: the recursion
-        # must close exactly at the covector (it also does for the Cartan
-        # group, at ~12s of symbolic work; exercised in the demos instead)
+        # must close exactly on the unit cylinder
         m = models[spec]
         cov = oc.random_rational_unit_covector(m, rng)
         vals, resid = oc.higher_diagonal_invariants(m, cov)
@@ -197,6 +208,34 @@ class TestHigherDiagonal:
                             lambda v, w: bracket(v, w) + bracket(v, w))
         _, resid = oc.higher_diagonal_invariants(m, cov, i_max=1)
         assert resid == [False]
+
+    @pytest.mark.parametrize("spec, seed", [("goursat:6", 1), ("goursat:5", 3)])
+    def test_float_covector_closes(self, models, spec, seed):
+        # the closure residual is a rational function that vanishes on
+        # 2H = 1 only; evaluated at a float point 4.8e-17 off the cylinder it
+        # once read 31.7 against an absolute 1e-9
+        m = models[spec]
+        cov = oc.random_unit_covector(m, np.random.default_rng(seed))
+        assert all(oc.higher_diagonal_invariants(m, cov)[1])
+
+    def test_wrong_closure_fails_only_the_closure(self, models, rng,
+                                                 monkeypatch):
+        # doubling the last R_{aa,n_a n_a} (the last sigma of the recursion)
+        # leaves a residual R E_{a n_a} that does not vanish on 2H = 1
+        m = models["goursat:4"]
+        cov = oc.random_rational_unit_covector(m, rng)
+        hf = oc.oracle_fields(m).hf
+        sigma = hf.sigma
+        calls = []
+
+        def doubled_last(v, w):
+            calls.append(None)
+            s = sigma(v, w)
+            return s + s if len(calls) == 2 * m.young[0] - 1 else s
+
+        monkeypatch.setattr(hf, "sigma", doubled_last)
+        _, resid = oc.higher_diagonal_invariants(m, cov)
+        assert resid == [True, True, False]
 
     def test_index_guard(self, models):
         g3 = models["goursat:3"]
