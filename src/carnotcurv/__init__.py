@@ -9,12 +9,13 @@ independent verification oracles (exact canonical-frame brackets, Jacobi-curve
 Laurent fitting, and a boundary-value cost probe).
 """
 
-from .errors import (CarnotError, DimensionMismatch, IllConditioned,
-                     IndexOutOfRange, LemmaConditionFailed, ModulusOutOfRange,
-                     NotAmple, NotAmpleEquiregular, NotUnitSpeed,
-                     RankUnstable, RealizationMismatch, ShootingDiverged,
-                     SingularCovector, SingularFrame, StepTooLarge,
-                     StepUnbalanced, UnsupportedGroup, WrongStratum)
+from .errors import (CarnotError, DegreeOverflow, DimensionMismatch,
+                     IllConditioned, IndexOutOfRange, LemmaConditionFailed,
+                     ModulusOutOfRange, NotAmple, NotAmpleEquiregular,
+                     NotUnitSpeed, RankUnstable, RealizationMismatch,
+                     ShootingDiverged, SingularCovector, SingularFrame,
+                     StepTooLarge, StepUnbalanced, UnsupportedGroup,
+                     WrongStratum)
 from .groups import (Covector, GroupModel, build_group, cartan_h_from_chart,
                      engel_h_from_chart, fiber_transform, parse_group_spec)
 from .symfields import Poly, Rat, RatVecField, sigma_pair, sigma_pair_fields

@@ -2,8 +2,9 @@
 
 Subcommands: geodesic | classify | curvature | verify | sweep.
 Exit codes: 0 ok, 2 usage (also a --T/--step horizon that is not finite or
-needs more than hamiltonian.MAX_STEPS steps, and a curvature or sweep value
-that is not a finite float), 3 integrator,
+needs more than hamiltonian.MAX_STEPS steps, a curvature or sweep value
+that is not a finite float, and a group whose exact polynomials pass the
+kernel's degree limit), 3 integrator,
 4 not-ample-equiregular, 5 singular-covector, 6 verification-failed (a check
 failed, or a numerical oracle could not decide: RankUnstable,
 IllConditioned, ShootingDiverged, StepUnbalanced, LemmaConditionFailed).
@@ -24,11 +25,11 @@ import math
 import sys
 from fractions import Fraction
 
-from .errors import (CarnotError, IllConditioned, LemmaConditionFailed,
-                     NotAmple, NotAmpleEquiregular, NotUnitSpeed,
-                     RankUnstable, ShootingDiverged, SingularCovector,
-                     StepTooLarge, StepUnbalanced, UnsupportedGroup,
-                     WrongStratum)
+from .errors import (CarnotError, DegreeOverflow, IllConditioned,
+                     LemmaConditionFailed, NotAmple, NotAmpleEquiregular,
+                     NotUnitSpeed, RankUnstable, ShootingDiverged,
+                     SingularCovector, StepTooLarge, StepUnbalanced,
+                     UnsupportedGroup, WrongStratum)
 from .groups import Covector, build_group
 from .hamiltonian import integrate_flow, step_count
 from . import curvature as curvature_mod
@@ -375,7 +376,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (UsageError, UnsupportedGroup, NotUnitSpeed, WrongStratum,
-            ValueError) as exc:
+            DegreeOverflow, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StepTooLarge as exc:

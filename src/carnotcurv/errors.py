@@ -75,3 +75,7 @@ class ShootingDiverged(CarnotError):
 
 class StepUnbalanced(CarnotError):
     """Finite-difference probe steps gave mutually inconsistent estimates."""
+
+
+class DegreeOverflow(CarnotError):
+    """A polynomial's total degree exceeds what a packed monomial holds (255)."""

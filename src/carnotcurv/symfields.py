@@ -6,6 +6,13 @@ integer coefficients have gcd 1 and positive leading (deglex) coefficient.
 That makes the representation canonical: two polynomials are equal iff their
 (content, terms) pairs are equal.
 
+Each monomial of the term dictionary is one int, its exponent vector packed
+one byte per field as [total degree | e_0 | e_1 | ... | e_{n-1}] with the
+degree most significant (Monagan & Pearce, CASC 2007).  Int order is then
+deglex order, the product of two monomials is the sum of their keys and a
+quotient is a difference.  A total degree above 255 would carry into the
+next field, so every result that reaches it raises DegreeOverflow.
+
 Rational functions have one pole: every denominator the bracket calculus in
 this package produces is a power of a single irreducible polynomial (h1 for
 the Goursat family, h3 for the Cartan group).  A Rat is num / pole^e, reduced
@@ -24,9 +31,9 @@ from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import add, sub
+from operator import index
 
-from .errors import DimensionMismatch
+from .errors import DegreeOverflow, DimensionMismatch
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -48,7 +55,47 @@ def _qgcd(a: Fraction, b: Fraction) -> Fraction:
 
 
 def _degkey(exps):
+    """Deglex sort key of an exponent tuple (the order of packed keys)."""
     return (sum(exps), exps)
+
+
+# bits per field of a packed monomial; decoding reads one byte per field
+_BITS = 8
+_FIELD = (1 << _BITS) - 1
+_OVERFLOW = f"total degree above {_FIELD} does not fit a packed monomial"
+
+
+def _pack(exps):
+    """Key of an exponent tuple (of ints, numpy ints included)."""
+    exps = [index(k) for k in exps]
+    if min(exps, default=0) < 0:
+        raise ValueError(f"negative exponent in {exps!r}")
+    key = sum(exps)
+    if key > _FIELD:
+        raise DegreeOverflow(_OVERFLOW)
+    for k in exps:
+        key = key << _BITS | k
+    return key
+
+
+def _low_fields(nvars):
+    """Mask of the exponent fields of a key (all but the degree)."""
+    return (1 << _BITS * nvars) - 1
+
+
+def _unpack(key, nvars):
+    """Exponents (e_0, .., e_{n-1}) of a key, as bytes."""
+    return (key & _low_fields(nvars)).to_bytes(nvars, "big")
+
+
+def _borrow_mask(nvars):
+    """The lowest bit of each field above e_{n-1}.
+
+    For keys a >= b, some field of a is below b's exactly when a - b
+    borrows across a field boundary, that is when (a - b) ^ a ^ b has one
+    of these bits set.
+    """
+    return ((1 << _BITS * (nvars + 1)) - 1) // _FIELD - 1
 
 
 class Poly:
@@ -68,7 +115,9 @@ class Poly:
             self.content = _ZERO
             return
         g = reduce(gcd, (abs(c) for c in terms.values()))
-        lead = max(terms, key=_degkey)
+        lead = max(terms)
+        if lead >> _BITS * nvars > _FIELD:
+            raise DegreeOverflow(_OVERFLOW)
         if terms[lead] < 0:
             g = -g
         if g != 1:
@@ -86,17 +135,27 @@ class Poly:
         value = Fraction(value)
         if value == 0:
             return cls.zero(nvars)
-        return cls(nvars, {(0,) * nvars: 1}, value, normalized=True)
+        return cls(nvars, {0: 1}, value, normalized=True)
 
     @classmethod
     def variable(cls, nvars, i):
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): 1}, _ONE, normalized=True)
+        if not 0 <= i < nvars:
+            raise IndexError(f"variable {i} of {nvars}")
+        key = 1 << _BITS * nvars | 1 << _BITS * (nvars - 1 - i)
+        return cls(nvars, {key: 1}, _ONE, normalized=True)
 
     @classmethod
     def from_terms(cls, nvars, fraction_terms):
         """Build from {exponent tuple: Fraction-like coefficient}."""
+        for e in fraction_terms:
+            if len(e) != nvars:
+                raise DimensionMismatch(f"exponent {e!r} for {nvars} variables")
+        return cls._from_keys(nvars, {_pack(e): c
+                                      for e, c in fraction_terms.items()})
+
+    @classmethod
+    def _from_keys(cls, nvars, fraction_terms):
+        """Build from {packed key: Fraction-like coefficient}."""
         items = [(e, Fraction(c)) for e, c in fraction_terms.items() if c != 0]
         if not items:
             return cls.zero(nvars)
@@ -108,6 +167,12 @@ class Poly:
     @property
     def is_zero(self):
         return not self.terms
+
+    def monomials(self):
+        """(exponent tuple, int coefficient) pairs in term order; the value
+        is content times the sum of coefficient * monomial."""
+        n = self.nvars
+        return [(tuple(_unpack(e, n)), c) for e, c in self.terms.items()]
 
     def key(self):
         if self._k is None:
@@ -125,7 +190,7 @@ class Poly:
     def degree(self):
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self.terms) >> _BITS * self.nvars
 
     # -- arithmetic ----------------------------------------------------
     def _coerce(self, other):
@@ -191,7 +256,7 @@ class Poly:
         out = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                e = tuple(i + j for i, j in zip(ea, eb))
+                e = ea + eb
                 v = out.get(e, 0) + ca * cb
                 if v:
                     out[e] = v
@@ -216,33 +281,34 @@ class Poly:
     def diff(self, i):
         if self.is_zero:
             return self
+        shift = _BITS * (self.nvars - 1 - i)
+        # one fewer x_i and one less total degree
+        step = (1 << shift) + (1 << _BITS * self.nvars)
         terms = {}
         for e, c in self.terms.items():
-            if e[i]:
-                ne = list(e)
-                ne[i] -= 1
-                terms[tuple(ne)] = c * e[i]
+            k = e >> shift & _FIELD
+            if k:
+                terms[e - step] = c * k
         return Poly(self.nvars, terms, self.content)
 
     def eval(self, vals):
         if self.is_zero:
             return 0 * vals[0] if vals else _ZERO
-        powers = [{} for _ in range(self.nvars)]
-
-        def pw(i, k):
-            cache = powers[i]
-            v = cache.get(k)
-            if v is None:
-                v = vals[i] ** k
-                cache[k] = v
-            return v
-
+        n = self.nvars
+        low = _low_fields(n)
+        # vals[i] ** k once per (i, k); the factors multiply in variable
+        # order, so a float value depends on the polynomial alone
+        powers = [{} for _ in range(n)]
         acc = 0
         for e, c in self.terms.items():
             m = c
-            for i, k in enumerate(e):
+            for i, k in enumerate((e & low).to_bytes(n, "big")):
                 if k:
-                    m = m * pw(i, k)
+                    cache = powers[i]
+                    v = cache.get(k)
+                    if v is None:
+                        v = cache[k] = vals[i] ** k
+                    m = m * v
             acc += m
         return self.content * acc
 
@@ -250,8 +316,9 @@ class Poly:
         """Embed into a larger variable set (same leading indices)."""
         if nvars == self.nvars:
             return self
-        extra = (0,) * (nvars - self.nvars)
-        terms = {e + extra: c for e, c in self.terms.items()}
+        # the new fields come in below e_{n-1}; the degree stays on top
+        shift = _BITS * (nvars - self.nvars)
+        terms = {e << shift: c for e, c in self.terms.items()}
         return Poly(nvars, terms, self.content, normalized=True)
 
     def exact_div(self, d):
@@ -272,49 +339,50 @@ class Poly:
         if len(d.terms) == 1:
             ((dlead, dlc),) = d.terms.items()
             return self._div_monomial(dlead, ratio / dlc)
-        dlead = max(d.terms, key=_degkey)
+        dlead = max(d.terms)
         dlc = d.terms[dlead]
         rest = [(e, c) for e, c in d.terms.items() if e != dlead]
+        borrow = _borrow_mask(self.nvars)
         rem = dict(self.terms)
-        heap = [(-sum(e), tuple(-k for k in e), e) for e in rem]
+        # a min-heap of -key pops the deglex-largest monomial
+        heap = [-e for e in rem]
         heapify(heap)
         quo = {}
         while heap:
-            lt = heappop(heap)[2]
+            lt = -heappop(heap)
             c = rem.pop(lt, None)
             if c is None:
                 # stale entry: the term cancelled, or was pushed twice
                 continue
-            qe = tuple(map(sub, lt, dlead))
-            if min(qe) < 0:
+            qe = lt - dlead
+            if qe < 0 or (qe ^ lt ^ dlead) & borrow:
                 return None
             qc = Fraction(c, dlc)
             quo[qe] = qc
             # every product below is smaller than lt, so lt never returns
             for e, dc in rest:
-                te = tuple(map(add, qe, e))
+                te = qe + e
                 v = rem.get(te)
                 if v is None:
                     rem[te] = -qc * dc
-                    heappush(heap, (-sum(te), tuple(-k for k in te), te))
+                    heappush(heap, -te)
                 else:
                     v -= qc * dc
                     if v:
                         rem[te] = v
                     else:
                         del rem[te]
-        q = Poly.from_terms(self.nvars, quo)
+        q = Poly._from_keys(self.nvars, quo)
         return Poly(self.nvars, q.terms, q.content * ratio, normalized=True)
 
     def _div_monomial(self, dlead, ratio):
         """self / x^dlead, or None when some term lacks a factor of it."""
-        need = [(i, k) for i, k in enumerate(dlead) if k]
+        borrow = _borrow_mask(self.nvars)
         for e in self.terms:
-            for i, k in need:
-                if e[i] < k:
-                    return None
-        terms = {tuple(map(sub, e, dlead)): self.terms[e]
-                 for e in sorted(self.terms, key=_degkey, reverse=True)}
+            if e < dlead or (e - dlead ^ e ^ dlead) & borrow:
+                return None
+        terms = {e - dlead: self.terms[e]
+                 for e in sorted(self.terms, reverse=True)}
         return Poly(self.nvars, terms, ratio, normalized=True)
 
     # -- printing --------------------------------------------------------
@@ -322,11 +390,11 @@ class Poly:
         if self.is_zero:
             return "0"
         parts = []
-        for e in sorted(self.terms, key=_degkey, reverse=True):
+        for e in sorted(self.terms, reverse=True):
             c = self.content * self.terms[e]
             mono = "*".join(
                 names[i] if k == 1 else f"{names[i]}^{k}"
-                for i, k in enumerate(e) if k)
+                for i, k in enumerate(_unpack(e, self.nvars)) if k)
             if mono:
                 if c == 1:
                     parts.append(mono)
@@ -352,9 +420,10 @@ class Poly:
         if self.is_zero:
             return "0.0"
         parts = []
-        for e in sorted(self.terms, key=_degkey, reverse=True):
+        for e in sorted(self.terms, reverse=True):
             c = float(self.content * self.terms[e])
-            mono = "*".join(power(i, k) for i, k in enumerate(e) if k)
+            mono = "*".join(power(i, k)
+                            for i, k in enumerate(_unpack(e, self.nvars)) if k)
             parts.append(f"{c!r}*{mono}" if mono else f"{c!r}")
         return " + ".join(parts)
 

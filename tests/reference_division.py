@@ -16,9 +16,10 @@ def reference_exact_div(self, d):
         raise ZeroDivisionError("polynomial division by zero")
     if self.is_zero:
         return self
-    dlead = max(d.terms, key=_degkey)
-    dlc = d.terms[dlead]
-    rem = dict(self.terms)
+    dterms = dict(d.monomials())
+    dlead = max(dterms, key=_degkey)
+    dlc = dterms[dlead]
+    rem = dict(self.monomials())
     quo = {}
     while rem:
         lt = max(rem, key=_degkey)
@@ -27,7 +28,7 @@ def reference_exact_div(self, d):
             return None
         qc = Fraction(rem[lt], dlc)
         quo[qe] = quo.get(qe, _ZERO) + qc
-        for e, c in d.terms.items():
+        for e, c in dterms.items():
             te = tuple(a + b for a, b in zip(qe, e))
             v = rem.get(te, 0) - qc * c
             if v:

@@ -17,8 +17,9 @@ def to_pyexpr(poly, varnames):
     if poly.is_zero:
         return "0.0"
     parts = []
-    for e in sorted(poly.terms, key=_degkey, reverse=True):
-        c = float(poly.content * poly.terms[e])
+    terms = dict(poly.monomials())
+    for e in sorted(terms, key=_degkey, reverse=True):
+        c = float(poly.content * terms[e])
         mono = "*".join(
             varnames[i] if k == 1 else f"{varnames[i]}**{k}"
             for i, k in enumerate(e) if k)

@@ -245,6 +245,15 @@ class TestCurvature:
             f"error: R11 or its bound at covector {covector} is beyond the "
             "float range"]
 
+    def test_group_past_degree_limit_exit_2(self, capsys):
+        # goursat:258's frame has an x^256 term, past the packed-monomial cap
+        code, out, err = run(capsys, "curvature", "--group", "goursat:258",
+                             "--covector", "1,0,0")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: total degree above 255 does not fit a packed monomial"]
+
 
 class TestVerify:
     def test_exact_suite_passes(self, capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from carnotcurv.errors import DimensionMismatch
+from carnotcurv.errors import CarnotError, DegreeOverflow, DimensionMismatch
 from carnotcurv.frames import frame_fields, h_frame, verify_bracket_identities
 from carnotcurv.groups import Covector
 from carnotcurv.symfields import Poly, Rat, sigma_pair, sigma_pair_fields
@@ -63,6 +63,38 @@ class TestPoly:
     def test_nvars_guard(self):
         with pytest.raises(DimensionMismatch):
             Poly.variable(2, 0) * Poly.variable(3, 0)
+
+
+class TestDegreeLimit:
+    """A packed monomial holds a total degree up to 255; past that every
+    result raises DegreeOverflow, never a polynomial with carried fields."""
+
+    def test_degree_255_round_trips(self):
+        p = Poly.variable(3, 1) ** 255
+        assert p.monomials() == [((0, 255, 0), 1)]
+        assert p.degree() == 255
+        assert p.diff(1) == Poly.from_terms(3, {(0, 254, 0): 255})
+
+    def test_power_256_raises(self):
+        with pytest.raises(DegreeOverflow):
+            Poly.variable(3, 1) ** 256
+
+    def test_product_past_limit_raises(self):
+        x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+        a = x ** 200 + y ** 3
+        b = x ** 150 * y ** 50 - 1
+        assert a.degree() == b.degree() == 200
+        with pytest.raises(DegreeOverflow):
+            a * b
+
+    def test_from_terms_past_limit_raises(self):
+        with pytest.raises(DegreeOverflow):
+            Poly.from_terms(2, {(256, 0): 1})
+        with pytest.raises(DegreeOverflow):
+            Poly.from_terms(3, {(100, 100, 56): 1, (0, 0, 0): 2})
+
+    def test_error_is_a_carnot_error(self):
+        assert issubclass(DegreeOverflow, CarnotError)
 
 
 class TestRat:
