@@ -2,10 +2,10 @@
 
 Subcommands: geodesic | classify | curvature | verify | sweep.
 Exit codes: 0 ok, 2 usage (also a --T/--step horizon that is not finite or
-needs more than hamiltonian.MAX_STEPS steps, a curvature or sweep value
-that is not a finite float, and a group whose exact polynomials pass the
-kernel's degree limit), 3 integrator,
-4 not-ample-equiregular, 5 singular-covector, 6 verification-failed (a check
+needs more than hamiltonian.MAX_STEPS steps, a curvature or sweep value that
+is not a finite float, a group whose exact polynomials pass the kernel's
+degree limit, and an --out path that cannot be written), 3 integrator, 4
+not-ample-equiregular, 5 singular-covector, 6 verification-failed (a check
 failed, or a numerical oracle could not decide: RankUnstable,
 IllConditioned, ShootingDiverged, StepUnbalanced, LemmaConditionFailed).
 
@@ -19,7 +19,8 @@ config and seed reproduce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
+import itertools
 import json
 import math
 import sys
@@ -77,20 +78,26 @@ def _parse_covector(text):
 
 
 def _config_dict(args, keys):
-    cfg = {}
-    for k in keys:
-        v = getattr(args, k.replace("-", "_"), None)
-        if v is not None:
-            cfg[k] = v
-    return cfg
+    values = {k: getattr(args, k.replace("-", "_"), None) for k in keys}
+    return {k: v for k, v in values.items() if v is not None}
+
+
+@contextlib.contextmanager
+def _output(out):
+    """The --out file, or stdout; an unwritable path is a usage error."""
+    if not out:
+        yield sys.stdout
+        return
+    try:
+        with open(out, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _emit(text, out):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _covector_from_args(model, args):
@@ -113,20 +120,16 @@ def cmd_geodesic(args):
     traj = integrate_flow(model, cov.as_float(), args.T, step=args.step,
                           drift_bound=args.tol_drift)
     if args.format == "json":
-        h = traj.h_series()
-        payload = {
-            "config": cfg,
-            "t": [float(t) for t in traj.ts],
-            "x": [[float(v) for v in row[:model.dim]] for row in traj.ys],
-            "h": [[float(v) for v in row] for row in h],
-            "H_drift": traj.conservation_drift(),
-        }
+        payload = {"config": cfg, "t": traj.ts.tolist(),
+                   "x": traj.ys[:, :model.dim].tolist(),
+                   "h": traj.h_series().tolist(),
+                   "H_drift": traj.conservation_drift()}
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     else:
-        buf = io.StringIO()
-        buf.write("# config: " + json.dumps(cfg, sort_keys=True) + "\n")
-        traj.export_csv(buf)
-        _emit(buf.getvalue(), args.out)
+        # the rows go out as they are formatted, not as one string
+        with _output(args.out) as fh:
+            fh.write("# config: " + json.dumps(cfg, sort_keys=True) + "\n")
+            traj.export_csv(fh)
     return EXIT_OK
 
 
@@ -199,18 +202,14 @@ def cmd_verify(args):
                 print(f"note: slow suite is defined for goursat:3 and "
                       f"goursat:4; skipping {spec}", file=sys.stderr)
     ok = all(r.passed for r in rows)
-    lines = []
-    for r in rows:
-        tag = "PASS" if r.passed else "FAIL"
-        lines.append(f"[{tag}] {r.name}: expected {r.expected}, got {r.actual}")
+    lines = [f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: expected "
+             f"{r.expected}, got {r.actual}" for r in rows]
     lines.append(f"{'OK' if ok else 'FAILED'}: "
                  f"{sum(r.passed for r in rows)}/{len(rows)} checks passed")
     payload = {"config": cfg, "checks": [r.to_dict() for r in rows],
                "all_passed": ok}
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK if ok else EXIT_VERIFY
 
@@ -252,15 +251,6 @@ def cmd_sweep(args):
     axes = _parse_grid(args.grid, names)
     cfg = _config_dict(args, ("group", "grid", "format", "out", "seed"))
 
-    def rows():
-        def rec(prefix, rem):
-            if not rem:
-                yield tuple(prefix)
-                return
-            for v in rem[0]:
-                yield from rec(prefix + [v], rem[1:])
-        yield from rec([], axes)
-
     n = model.dim
     header = list(names) + [f"h{i+1}" for i in range(n)] + \
         ["stratum", "growth", "r11", "E", "slack"]
@@ -271,7 +261,7 @@ def cmd_sweep(args):
         point = ", ".join(f"{k}={v:.17g}" for k, v in zip(names, chart_pt))
         raise UsageError(f"sweep point {point} gives non-finite {what}")
 
-    for chart_pt in rows():
+    for chart_pt in itertools.product(*axes):
         h = model.h_from_chart(*chart_pt)
         if not all(map(math.isfinite, h)):
             refuse(chart_pt, f"h = {h}")

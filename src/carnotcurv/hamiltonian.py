@@ -222,12 +222,14 @@ def fiber_rhs_via_canonical(model, cov):
 class Trajectory:
     """Sampled integral curve of the Hamiltonian field, with optional M(t)."""
 
+    CSV_CHUNK = 128   # rows export_csv formats and writes at a time
+
     def __init__(self, model, ts, ys, Ms=None):
         self.model = model
         self.ts = ts
         self.ys = ys
         self.Ms = Ms
-        self._cf = compiled_flow(model)
+        self._series = {}
 
     def __len__(self):
         return len(self.ts)
@@ -237,10 +239,18 @@ class Trajectory:
         return Covector(self.model, tuple(self.ys[i, :n]), tuple(self.ys[i, n:]))
 
     def h_series(self):
-        return np.array([self._cf.h_of(y) for y in self.ys])
+        """h at the stored samples, computed on the first call; every call
+        returns the same read-only array (H_series likewise)."""
+        return self._values(compiled_flow(self.model).h_of)
 
     def H_series(self):
-        return np.array([self._cf.H_of(y) for y in self.ys])
+        return self._values(compiled_flow(self.model).H_of)
+
+    def _values(self, f):
+        if f not in self._series:
+            self._series[f] = np.array([f(y) for y in self.ys])
+            self._series[f].flags.writeable = False
+        return self._series[f]
 
     def E_series(self):
         """Pendulum energy integral along the flow (Engel and Cartan only)."""
@@ -275,25 +285,25 @@ class Trajectory:
     def index_at(self, t):
         i = int(round((t - self.ts[0]) / (self.ts[1] - self.ts[0]))) \
             if len(self.ts) > 1 else 0
-        i = max(0, min(len(self.ts) - 1, i))
-        return i
+        return max(0, min(len(self.ts) - 1, i))
 
     def export_csv(self, fh):
-        """CSV columns t, x_1..x_n, h_1..h_n, H [, E]; 17 significant digits."""
+        """CSV columns t, x_1..x_n, h_1..h_n, H [, E]; 17 significant digits
+        ("%.17g" formats every float, nan and inf too, as f"{v:.17g}")."""
         n = self.model.dim
-        names = self.model.base_names
-        cols = ["t"] + list(names) + [f"h{i + 1}" for i in range(n)] + ["H"]
+        cols = ["t", *self.model.base_names,
+                *(f"h{i + 1}" for i in range(n)), "H"]
+        blocks = [self.ts[:, None], self.ys[:, :n], self.h_series(),
+                  self.H_series()[:, None]]
         E = self.E_series()
         if E is not None:
             cols.append("E")
+            blocks.append(E[:, None])
         fh.write(",".join(cols) + "\n")
-        h = self.h_series()
-        H = self.H_series()
-        for i, t in enumerate(self.ts):
-            row = [t] + list(self.ys[i, :n]) + list(h[i]) + [H[i]]
-            if E is not None:
-                row.append(E[i])
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        row = ",".join(["%.17g"] * len(cols)) + "\n"
+        for k in range(0, len(self.ts), self.CSV_CHUNK):
+            chunk = np.hstack([b[k:k + self.CSV_CHUNK] for b in blocks])
+            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 MAX_STEPS = 10 ** 6

@@ -7,8 +7,10 @@ import warnings
 import pytest
 
 from carnotcurv import cli
+from carnotcurv import hamiltonian
 from carnotcurv import oracle
 from carnotcurv.errors import IllConditioned
+from carnotcurv.groups import build_group
 
 
 def run(capsys, *args):
@@ -113,6 +115,65 @@ class TestGeodesic:
         assert sha256(out1) == ("b07275debf2df62b4b0dc26c41416e570b1a31f8"
                                 "8d542b5240054ec6c75f8416")
 
+    # recorded before the one-pass writer: the E column (cartan), no E
+    # column (goursat:6), a backward run and the JSON layout
+    @pytest.mark.parametrize("args, digest", [
+        (("--group", "cartan", "--covector", "1,0,1,0.3,0.2", "--T", "0.5"),
+         "c92b5ee1d63db272fa64022f64e79e885da3c6a9ea43cef72bacbb9abcfdd6ea"),
+        (("--group", "goursat:6", "--covector", "0.6,0.8,1,0.5,0.3,0.2",
+          "--T", "0.5"),
+         "fddef5eef60657ad2fe2f911cce792cefe18b2bb9af700dd531453135e80af75"),
+        (("--group", "goursat:4", "--covector", "0,1,1,0.5", "--T=-0.5"),
+         "05fbd21413c51f7bb606e53ad3a96c46e35db55a1150a5aac9b2efbcbb20c7cc"),
+        (("--group", "goursat:4", "--covector", "0,1,1,0.5", "--T", "0.5",
+          "--format", "json"),
+         "11b3d6d720f5efd31b9cdae13809f64e32cdfe7c634247bbf7378f240bc6ebed"),
+    ], ids=["cartan-csv", "goursat6-csv", "goursat4-backward", "goursat4-json"])
+    def test_pinned_output(self, capsys, args, digest):
+        code, out, _ = run(capsys, "geodesic", *args)
+        assert code == 0
+        assert sha256(out) == digest
+
+    def test_streamed_out_file_matches_stdout(self, capsys, tmp_path):
+        # the CSV goes to --out chunk by chunk; only the echoed config differs
+        args = ("geodesic", "--group", "cartan", "--covector", "1,0,1,0.3,0.2",
+                "--T", "0.5")
+        _, out, _ = run(capsys, *args)
+        path = tmp_path / "g.csv"
+        code, stdout, _ = run(capsys, *args, "--out", str(path))
+        assert code == 0 and stdout == ""
+        text = path.read_text()
+        assert text.splitlines()[1:] == out.splitlines()[1:]
+        assert text.endswith("\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_each_sample_evaluated_once(self, capsys, monkeypatch, fmt):
+        # the drift check, the CSV columns, E and H_drift share one h and
+        # one H series; the writer once evaluated each of them twice
+        cf = hamiltonian.compiled_flow(build_group("goursat:4"))
+        calls = {"h_of": 0, "H_of": 0}
+
+        def counted(name):
+            f = getattr(cf, name)
+
+            def wrapper(y):
+                calls[name] += 1
+                return f(y)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cf, name, counted(name))
+        code, out, _ = run(capsys, "geodesic", "--group", "goursat:4",
+                           "--covector", "0,1,1,0.5", "--T", "0.1",
+                           "--format", fmt)
+        assert code == 0
+        samples = 101    # 100 steps
+        if fmt == "csv":
+            assert len(out.splitlines()) == samples + 2
+        else:
+            assert len(json.loads(out)["t"]) == samples
+        assert calls == {"h_of": samples, "H_of": samples}
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "geodesic", "--group", "goursat:3",
                            "--covector", "1,0,0", "--T", "0.01",
@@ -122,6 +183,22 @@ class TestGeodesic:
         assert d["config"]["format"] == "json"
         assert len(d["t"]) == len(d["h"]) == len(d["x"])
         assert d["H_drift"] < 1e-12
+
+
+@pytest.mark.parametrize("command", [
+    ("geodesic", "--group", "goursat:3", "--covector", "1,0,0", "--T", "0.01"),
+    ("classify", "--group", "goursat:4", "--covector", "0,1,0,0", "--T", "1"),
+    ("verify", "--group", "goursat:3", "--suite", "exact", "--count", "1")],
+    ids=["geodesic", "classify", "verify"])
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_exit_2(capsys, tmp_path, command, where):
+    # once a FileNotFoundError or IsADirectoryError traceback with exit 1
+    path = tmp_path / "missing" / "x.out" if where == "missing-dir" else tmp_path
+    code, out, err = run(capsys, *command, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot write {path}: ")
 
 
 class TestClassify:

@@ -1,15 +1,18 @@
 """Normal flow integration: conservation, symplecticity, exports."""
 import io
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from carnotcurv.errors import StepTooLarge
-from carnotcurv.groups import Covector, engel_h_from_chart
-from carnotcurv.hamiltonian import (MAX_STEPS, conserved_quantities,
-                                    fiber_rhs, fiber_rhs_via_canonical,
-                                    flow_rhs, integrate_flow, step_count)
+from carnotcurv.groups import Covector, build_group, engel_h_from_chart
+from carnotcurv.hamiltonian import (MAX_STEPS, Trajectory,
+                                    conserved_quantities, fiber_rhs,
+                                    fiber_rhs_via_canonical, flow_rhs,
+                                    integrate_flow, step_count)
+from reference_export import export_csv as reference_export
 
 
 class TestFlowRhs:
@@ -188,3 +191,97 @@ class TestCsvExport:
         buf = io.StringIO()
         traj.export_csv(buf)
         assert buf.getvalue().splitlines()[0].endswith("h5,H")
+
+
+def csv_text(write, traj):
+    buf = io.StringIO()
+    write(traj, buf)
+    return buf.getvalue()
+
+
+def first_difference(a, b):
+    """(line number, line of a, line of b) where two texts first differ."""
+    pairs = itertools.zip_longest(a.splitlines(True), b.splitlines(True))
+    return next((i, x, y) for i, (x, y) in enumerate(pairs) if x != y)
+
+
+class TestOnePassExport:
+    """The chunked %-template writer against the per-value reference."""
+
+    SPECS = ("goursat:3", "goursat:4", "goursat:5", "goursat:6", "goursat:7",
+             "goursat:8", "cartan")
+    H0 = (0.7, -0.5, 0.9, 0.4, -0.6, 0.8, 0.3, -0.2)
+
+    def same_text(self, traj):
+        text = csv_text(Trajectory.export_csv, traj)
+        ref = csv_text(reference_export, traj)
+        # a bool, so that a failure names the first differing line instead
+        # of diffing two long texts
+        same = text == ref
+        assert same, first_difference(text, ref)
+        return text
+
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("T", [0.3, -0.25])
+    def test_groups_forward_and_backward(self, monkeypatch, spec, T):
+        # a chunk of 64 rows leaves a partial last chunk (301 and 251 rows)
+        monkeypatch.setattr(Trajectory, "CSV_CHUNK", 64)
+        m = build_group(spec)
+        cov = Covector.from_h(m, self.H0[:m.dim])
+        traj = integrate_flow(m, cov, T, 1e-3, drift_bound=None)
+        text = self.same_text(traj)
+        assert len(text.splitlines()) == len(traj) + 1
+
+    @pytest.mark.parametrize("chunk", [1, 7, 50, 51, 52, 128])
+    def test_chunk_boundaries(self, monkeypatch, models, chunk):
+        # 51 rows: chunks that divide it, leave one row over, or exceed it
+        monkeypatch.setattr(Trajectory, "CSV_CHUNK", chunk)
+        m = models["cartan"]
+        cov = Covector.from_h(m, (0.8, 0.6, 0.9, 0.4, 0.2))
+        self.same_text(integrate_flow(m, cov, 0.05, 1e-3))
+
+    def test_default_chunk_partial_last(self, models):
+        m = models["goursat:4"]
+        cov = Covector.from_h(m, engel_h_from_chart(0.3, 0.9, 1.1))
+        traj = integrate_flow(m, cov, Trajectory.CSV_CHUNK * 1e-3, 1e-3)
+        assert len(traj) == Trajectory.CSV_CHUNK + 1
+        self.same_text(traj)
+
+    def test_store_every_and_richardson(self, models):
+        m = models["cartan"]
+        cov = Covector.from_h(m, (0.8, 0.6, 0.9, 0.4, 0.2))
+        self.same_text(integrate_flow(m, cov, -0.5, 1e-3, store_every=7))
+        self.same_text(integrate_flow(m, cov, 0.5, 1e-3, store_every=3,
+                                      richardson=True))
+
+    @pytest.mark.parametrize("spec", ["goursat:4", "goursat:5", "cartan"])
+    def test_non_finite_rows(self, monkeypatch, spec):
+        monkeypatch.setattr(Trajectory, "CSV_CHUNK", 2)
+        m = build_group(spec)
+        N = 2 * m.dim
+        special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308,
+                   -1.7976931348623157e308, 0.1]
+        ys = np.array([[special[(i + j) % len(special)] for j in range(N)]
+                       for i in range(len(special) + 1)])
+        ts = np.array(special + [2.0])
+        # inf - inf in the energy column warns; the text is what is compared
+        with np.errstate(invalid="ignore", over="ignore"):
+            text = self.same_text(Trajectory(m, ts, ys))
+        tokens = set(text.replace("\n", ",").split(","))
+        assert {"nan", "inf", "-inf", "-0", "4.9406564584124654e-324"} <= tokens
+
+
+class TestSeriesCache:
+    def test_series_evaluated_once_and_read_only(self, models):
+        m = models["goursat:4"]
+        cov = Covector.from_h(m, engel_h_from_chart(0.3, 0.9, 1.1))
+        traj = integrate_flow(m, cov, 0.05, 1e-3)
+        for series in (traj.h_series, traj.H_series):
+            first = series()
+            assert series() is first
+            with pytest.raises(ValueError):
+                first[0] = 0.0
+        # E is built from the cached h and is an ordinary array
+        E = traj.E_series()
+        assert E.flags.writeable
+        assert np.array_equal(E, m.energy(traj.h_series().T))
