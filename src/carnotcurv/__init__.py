@@ -11,11 +11,11 @@ Laurent fitting, and a boundary-value cost probe).
 
 from .errors import (CarnotError, DegreeOverflow, DimensionMismatch,
                      IllConditioned, IndexOutOfRange, LemmaConditionFailed,
-                     ModulusOutOfRange, NotAmple, NotAmpleEquiregular,
-                     NotUnitSpeed, RankUnstable, RealizationMismatch,
-                     ShootingDiverged, SingularCovector, SingularFrame,
-                     StepTooLarge, StepUnbalanced, UnsupportedGroup,
-                     WrongStratum)
+                     LossTimeMismatch, ModulusOutOfRange, NotAmple,
+                     NotAmpleEquiregular, NotUnitSpeed, RankUnstable,
+                     RealizationMismatch, ShootingDiverged, SingularCovector,
+                     SingularFrame, StepTooLarge, StepUnbalanced,
+                     UnsupportedGroup, WrongStratum)
 from .groups import (Covector, GroupModel, build_group, cartan_h_from_chart,
                      engel_h_from_chart, fiber_transform, parse_group_spec)
 from .symfields import Poly, Rat, RatVecField, sigma_pair, sigma_pair_fields

@@ -4,10 +4,13 @@ Subcommands: geodesic | classify | curvature | verify | sweep.
 Exit codes: 0 ok, 2 usage (also a --T/--step horizon that is not finite or
 needs more than hamiltonian.MAX_STEPS steps, a curvature or sweep value that
 is not a finite float, a group whose exact polynomials pass the kernel's
-degree limit, and an --out path that cannot be written), 3 integrator, 4
-not-ample-equiregular, 5 singular-covector, 6 verification-failed (a check
-failed, or a numerical oracle could not decide: RankUnstable,
-IllConditioned, ShootingDiverged, StepUnbalanced, LemmaConditionFailed).
+degree limit, and an --out path that cannot be written, refused before
+any work), 3 integrator, 4 not-ample-equiregular, 5 singular-covector, 6
+verification-failed (a check failed, or a numerical oracle could not
+decide: RankUnstable, IllConditioned, ShootingDiverged, StepUnbalanced,
+LemmaConditionFailed, and LossTimeMismatch, where classify's loss-time
+scan and the elliptic closed form disagree, as on a separatrix the float
+flow leaves).
 
 Covectors are given in h-coordinates at the origin (where the frame is the
 coordinate basis).  Tokens parse as exact rationals when possible ("1",
@@ -20,17 +23,19 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import itertools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
 from .errors import (CarnotError, DegreeOverflow, IllConditioned,
-                     LemmaConditionFailed, NotAmple, NotAmpleEquiregular,
-                     NotUnitSpeed, RankUnstable, ShootingDiverged,
-                     SingularCovector, StepTooLarge, StepUnbalanced,
-                     UnsupportedGroup, WrongStratum)
+                     LemmaConditionFailed, LossTimeMismatch, NotAmple,
+                     NotAmpleEquiregular, NotUnitSpeed, RankUnstable,
+                     ShootingDiverged, SingularCovector, StepTooLarge,
+                     StepUnbalanced, UnsupportedGroup, WrongStratum)
 from .groups import Covector, build_group
 from .hamiltonian import integrate_flow, step_count
 from . import curvature as curvature_mod
@@ -93,6 +98,21 @@ def _output(out):
             yield fh
     except OSError as exc:
         raise UsageError(f"cannot write {out}: {exc.strerror}") from None
+
+
+def _check_out(out):
+    """Refuse an --out path that open(out, "w") would refuse, before any
+    work is done; no file is created or truncated here."""
+    parent = os.path.dirname(out) or "."
+    if os.path.isdir(out):
+        err = errno.EISDIR
+    elif not os.path.isdir(parent):
+        err = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(out if os.path.exists(out) else parent, os.W_OK):
+        err = errno.EACCES
+    else:
+        return
+    raise UsageError(f"cannot write {out}: {os.strerror(err)}")
 
 
 def _emit(text, out):
@@ -364,6 +384,8 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except (UsageError, UnsupportedGroup, NotUnitSpeed, WrongStratum,
             DegreeOverflow, ValueError) as exc:
@@ -379,7 +401,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
     except (RankUnstable, IllConditioned, ShootingDiverged, StepUnbalanced,
-            LemmaConditionFailed) as exc:
+            LemmaConditionFailed, LossTimeMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
 

@@ -65,7 +65,7 @@ def check_pole(value, exact, name):
             f"{name} vanishes: R11 has a pole there (loss of equiregularity)")
 
 
-def r11_goursat(n, h, unchecked=False):
+def r11_goursat(n, h):
     """The scalar curvature invariant R11 for the Goursat group J^n.
 
     h is the fiber coordinate vector (h1..hn) of a unit-speed covector.
@@ -73,45 +73,41 @@ def r11_goursat(n, h, unchecked=False):
           - (n-1)(n-2)(n-3) h3^2 h2^2 / h1^2,
     with h4 = 0 when n = 3 (where the singular term has zero coefficient).
     The h1 = 0 pole coincides with loss of equiregularity; check_pole
-    raises SingularCovector there unless unchecked.
+    raises SingularCovector there.  Exact input is taken as Fractions and
+    any other as floats, so one expression serves both: a Fraction
+    coefficient times a float is the float product.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
     exact = is_exact_seq(h)
+    h = tuple(map(Fraction if exact else float, h))
     h1, h2, h3 = h[0], h[1], h[2]
-    h4 = h[3] if n >= 4 else 0
     lead = Fraction(-(n - 1) * (12 + n * (4 * n - 17)), 6)
     if n == 3:
-        return lead * (h3 * h3) if exact else float(lead) * h3 * h3
-    if not unchecked:
-        check_pole(h1, exact, "h1")
+        return lead * h3 * h3
+    check_pole(h1, exact, "h1")
     sing = -(n - 1) * (n - 2) * (n - 3)
-    if exact:
-        return (lead * (h3 * h3 + h2 * h4)
-                + sing * h3 * h3 * h2 * h2 / Fraction(h1 * h1))
-    return (float(lead) * (h3 * h3 + h2 * h4)
+    return (lead * (h3 * h3 + h2 * h[3])
             + sing * h3 * h3 * h2 * h2 / (h1 * h1))
 
 
-def r11_cartan(h, unchecked=False):
+def r11_cartan(h):
     """R11 for the Cartan group: 6E - (8/h3^2)(h1 h4 + h2 h5)^2
-    with E = h3^2/2 + h1 h5 - h2 h4."""
+    with E = h3^2/2 + h1 h5 - h2 h4; input as in r11_goursat."""
     exact = is_exact_seq(h)
+    h = tuple(map(Fraction if exact else float, h))
     h1, h2, h3, h4, h5 = h
-    if not unchecked:
-        check_pole(h3, exact, "h3")
+    check_pole(h3, exact, "h3")
     cross = h1 * h4 + h2 * h5
-    if exact:
-        return (3 * h3 * h3 + 6 * (h1 * h5 - h2 * h4)
-                - 8 * cross * cross / Fraction(h3 * h3))
-    return (3.0 * h3 * h3 + 6.0 * (h1 * h5 - h2 * h4)
-            - 8.0 * cross * cross / (h3 * h3))
+    return (3 * h3 * h3 + 6 * (h1 * h5 - h2 * h4)
+            - 8 * cross * cross / (h3 * h3))
 
 
-def r11(model, cov, unchecked=False):
+def r11(model, cov):
+    """The closed-form R11 of the model's family at the covector."""
     if model.kind == "goursat":
-        return r11_goursat(model.dim, cov.h, unchecked=unchecked)
-    return r11_cartan(cov.h, unchecked=unchecked)
+        return r11_goursat(model.dim, cov.h)
+    return r11_cartan(cov.h)
 
 
 def energy_bound(model, cov):

@@ -195,14 +195,14 @@ def classify_pendulum(model, cov, tol=STRATUM_TOL):
                          abnormal=model.is_abnormal(h, tol))
 
 
-def elliptic_coords(model, cov, tol=STRATUM_TOL):
+def elliptic_coords(model, cov):
     """Elliptic coordinates (k, phi, alpha[, beta]) on C1, C2, C3.
 
     Returns the completed PendulumChart; raises WrongStratum elsewhere.
     The chart inverts the stratum's sn/cn/dn (or tanh/sech) relations for
     the pendulum angle psi = theta - angle_offset and c.
     """
-    chart = classify_pendulum(model, cov, tol=tol)
+    chart = classify_pendulum(model, cov)
     if chart.stratum not in ("C1", "C2", "C3"):
         raise WrongStratum(
             f"elliptic coordinates are defined on C1/C2/C3, not {chart.stratum_label}")

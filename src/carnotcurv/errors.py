@@ -65,6 +65,10 @@ class IndexOutOfRange(CarnotError):
     """Requested coefficient index outside the defined range."""
 
 
+class LossTimeMismatch(CarnotError):
+    """The loss-time scan and the elliptic closed form disagree."""
+
+
 class IllConditioned(CarnotError):
     """Too many graph-map solves were dropped for bad conditioning."""
 

@@ -95,19 +95,9 @@ class FrameFields:
         self.x_theta = self.lift[0].smul(self.h[1]) - self.lift[1].smul(self.h[0])
 
         # top canonical-frame seed field
-        if model.kind == "goursat":
-            na = n - 1
-            if na == 2:
-                self.w_top = self.dh[n - 1]
-            else:
-                h1 = self.h_poly[0]  # equals p_1 for the Goursat realization
-                w = Rat(Poly.const(m, 1), ((h1, na - 2),))
-                self.w_top = self.dh[n - 1].smul(w)
-        else:
-            h3 = self.h_poly[2]
-            f4 = Rat(self.h_poly[1], ((h3, 1),))
-            f5 = Rat(-self.h_poly[0], ((h3, 1),))
-            self.w_top = self.dh[3].smul(f4) + self.dh[4].smul(f5)
+        self.w_top = RatVecField.zero(m)
+        for k, coef in model.w_coefficients(self.h_poly).items():
+            self.w_top = self.w_top + self.dh[k].smul(coef)
 
     # -- helpers ---------------------------------------------------------
     def vertical_h_components(self, field):
@@ -210,20 +200,11 @@ class HFrame:
         self.x_thetabar = HField([h[0], h[1]] + [self.zero] * (n - 2),
                                  [self.zero] * n)
 
-        na = model.young[0]
-        pole = Poly.variable(n, model.pole_index - 1)
-        self.pole = pole
-        if model.kind == "goursat":
-            coef = (self.one if na == 2 else
-                    Rat(Poly.const(n, 1), ((pole, na - 2),)))
-            b = [self.zero] * n
-            b[n - 1] = coef
-            self.w_top = HField([self.zero] * n, b)
-        else:
-            b = [self.zero] * n
-            b[3] = Rat(Poly.variable(n, 1), ((pole, 1),))
-            b[4] = Rat(-Poly.variable(n, 0), ((pole, 1),))
-            self.w_top = HField([self.zero] * n, b)
+        self.pole = h[model.pole_index - 1].num
+        b = [self.zero] * n
+        for k, coef in model.w_coefficients([hi.num for hi in h]).items():
+            b[k] = coef
+        self.w_top = HField([self.zero] * n, b)
 
     def dh(self, i):
         """d/dh_i (1-based)."""

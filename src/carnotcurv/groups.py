@@ -74,6 +74,9 @@ class GroupModel:
     * has_pendulum, energy(h), energy_factor: the Engel and Cartan vertical
       flows are a pendulum with energy E, and R11 <= energy_factor * E.
     * is_abnormal(h, tol): the abnormality test, decided at t = 0.
+    * growth_regular, growth_at_pole, growth_abnormal: the growth vectors
+      off the pole, at it, and of an abnormal geodesic.
+    * w_coefficients(h): the seed field W of the canonical frame.
     * invariant_cols: the 0-based fiber columns the flow conserves.
     * circle(theta), chart_axes, h_from_chart: the chart convention.
     * default_max_order: the bracket order the rank oracle goes up to.
@@ -103,6 +106,11 @@ class GroupModel:
         self.energy_factor = (4 if goursat else 6) if self.has_pendulum else None
         self.invariant_cols = (dim - 1,) if goursat else (3, 4)
         self.default_max_order = max(2 * dim - 3, dim) if goursat else 6
+        self.growth_regular = tuple(range(2, dim + 1))
+        # (2,3,3,4,4,..,n) at h1 = 0
+        self.growth_at_pole = ((2,) + sum(((j, j) for j in range(3, dim)), ())
+                               + (dim,) if goursat else (2, 3, 4, 4, 5))
+        self.growth_abnormal = (2, 3) if goursat else (2, 3, 4)
         self.circle = _goursat_circle if goursat else _cartan_circle
         self.chart_axes = self.h_from_chart = None
         if self.has_pendulum and goursat:
@@ -135,6 +143,16 @@ class GroupModel:
         if self.kind == "goursat":
             return abs(h[0]) <= tol
         return abs(h[0] * h[3] + h[1] * h[4]) <= tol
+
+    def w_coefficients(self, h):
+        """W on the d/dh basis as {0-based index: Rat}, from the fiber
+        functions h (Polys): h1^(2 - n_a) d/dh_n (Goursat) or
+        (h2 d/dh4 - h1 d/dh5) / h3 (Cartan)."""
+        pole = h[self.pole_index - 1]
+        if self.kind == "goursat":
+            one = Poly.const(pole.nvars, 1)
+            return {self.dim - 1: Rat(one, ((pole, self.young[0] - 2),))}
+        return {3: Rat(h[1], ((pole, 1),)), 4: Rat(-h[0], ((pole, 1),))}
 
     def memo(self, build):
         """build(self), computed on first use and kept for the model's life."""
@@ -343,12 +361,6 @@ class Covector:
         p = _mat_apply(ainv, h)
         return cls(model, base, p)
 
-    @classmethod
-    def from_p(cls, model, p, base=None):
-        if base is None:
-            base = (0,) * model.dim
-        return cls(model, base, p)
-
     @property
     def exact(self):
         return isinstance(self.p[0], Fraction)
@@ -374,17 +386,12 @@ class Covector:
         return Covector(self.model, tuple(map(float, self.base)),
                         tuple(map(float, self.p)))
 
-    def is_unit_speed(self, tol=UNIT_SPEED_TOL):
+    def is_unit_speed(self):
         if self.exact:
             return 2 * self.H == 1
-        return abs(2 * self.H - 1) <= tol
+        return abs(2 * self.H - 1) <= UNIT_SPEED_TOL
 
     # -- chart views (floats; h-components stay primary) -----------------
-    @property
-    def rho(self):
-        h = self.h
-        return math.hypot(float(h[0]), float(h[1]))
-
     @property
     def theta(self):
         h = self.h

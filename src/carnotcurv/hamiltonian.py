@@ -270,17 +270,15 @@ class Trajectory:
                          for c in self.model.invariant_cols))
 
     def symplectic_defect(self):
-        """Max over samples of ||M^T J M - J||_inf."""
+        """Max over samples of ||M^T J M - J||_inf; NaN when a sample is."""
         if self.Ms is None:
             return None
         n = self.model.dim
         J = np.zeros((2 * n, 2 * n))
         J[:n, n:] = -np.eye(n)
         J[n:, :n] = np.eye(n)
-        worst = 0.0
-        for M in self.Ms:
-            worst = max(worst, float(np.max(np.abs(M.T @ J @ M - J))))
-        return worst
+        return float(np.max([np.max(np.abs(M.T @ J @ M - J))
+                             for M in self.Ms]))
 
     def index_at(self, t):
         i = int(round((t - self.ts[0]) / (self.ts[1] - self.ts[0]))) \

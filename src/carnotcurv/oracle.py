@@ -242,7 +242,7 @@ class SflatFit:
                 f"lin_a={self.lin_a:.6g}, dropped={self.dropped})")
 
 
-def sflat_fit(model, cov, cond_max=FIT_COND_MAX):
+def sflat_fit(model, cov):
     """Fit the Laurent data of S_flat(t)^{-1} from the integrated Jacobi curve.
 
     The vertical space at lambda(t) is pulled back through the variational
@@ -254,8 +254,8 @@ def sflat_fit(model, cov, cond_max=FIT_COND_MAX):
     the next even remainder (at float64 a two-term fit bottoms out around
     1e-3 relative on b for every usable window; modelling the t^4 term is
     what delivers the 1e-3 tolerance with margin).  Grid points whose
-    graph-map solve has condition number above cond_max are dropped; more
-    than half dropped is an error.
+    graph-map solve has condition number above FIT_COND_MAX are dropped;
+    more than half dropped is an error.
     """
     cov = cov.as_float()
     n = model.dim
@@ -299,7 +299,7 @@ def sflat_fit(model, cov, cond_max=FIT_COND_MAX):
         if np.min(nc) == 0.0:
             return None
         scaled = scaled / nc[None, :]
-        if np.linalg.cond(scaled) > cond_max:
+        if np.linalg.cond(scaled) > FIT_COND_MAX:
             return None
         ea1 = np.array([sig(basis_vecs[:, i], Fa1) for i in range(n)])
         eb1 = np.array([sig(basis_vecs[:, i], Fb1) for i in range(n)])
@@ -329,7 +329,8 @@ def sflat_fit(model, cov, cond_max=FIT_COND_MAX):
         zs.append(0.5 * (t * sp + (-t) * sm))   # a + b t^2 + O(t^4)
     if dropped > len(t_grid) / 2:
         raise IllConditioned(
-            f"{dropped}/{len(t_grid)} graph-map solves exceeded cond {cond_max:g}")
+            f"{dropped}/{len(t_grid)} graph-map solves exceeded cond "
+            f"{FIT_COND_MAX:g}")
     ts = np.array(ts)
     zs = np.array(zs)                            # (m, 2, 2)
 
@@ -355,7 +356,7 @@ def sflat_fit(model, cov, cond_max=FIT_COND_MAX):
                     window_rel=float(window_rel), used_ts=ts)
 
 
-def higher_diagonal_invariants(model, cov, i_max=None):
+def higher_diagonal_invariants(model, cov):
     """Diagonal curvature entries R_{aa,ii} via the structural recursion.
 
     F_{a,i+1} = R_{aa,ii} E_{ai} - dF_{ai}/dt realized on fields through the
@@ -370,17 +371,13 @@ def higher_diagonal_invariants(model, cov, i_max=None):
     of = oracle_fields(model)
     hf = of.hf
     na = of.n_a
-    if i_max is None:
-        i_max = na
-    if not 1 <= i_max <= na:
-        raise IndexOutOfRange(f"need 1 <= i_max <= n_a = {na}")
     _require_pole(model, cov)
     hvals = list(cov.h)
 
     values = []
     residuals = []
     F = -of.G[na]
-    for i in range(1, i_max + 1):
+    for i in range(1, na + 1):
         dF = hf.bracket(hf.hvec, F)
         r_fun = hf.sigma(dF, F)
         values.append(r_fun.eval(hvals))

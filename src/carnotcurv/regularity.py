@@ -17,7 +17,7 @@ import json
 
 import numpy as np
 
-from .errors import NotAmple, RankUnstable
+from .errors import LossTimeMismatch, NotAmple, RankUnstable
 from .frames import h_frame
 from .hamiltonian import compiled_flow, integrate_flow, rk4_step
 from .tolerances import (LOSS_TIME_MERGE, LOSS_TIME_TOL, RANK_GAP_RATIO,
@@ -49,30 +49,18 @@ class GrowthEntry:
 def growth_vector_closed_form(model, cov, tol=ZERO_TOL):
     """Growth vector at the covector's time, by the pole-coordinate criteria.
 
-    Goursat n >= 4: (2,3,..,n) when h1 != 0; (2,3,3,4,4,..,n) when h1 = 0
-    and h3 != 0; abnormal when h1 = h3 = 0 (then identically).  Goursat
-    n = 3: every unit-speed geodesic is ample and equiregular with (2,3).
-    Cartan: (2,3,4,5) when h3 != 0; (2,3,4,4,5) when h3 = 0 but
-    h1 h4 + h2 h5 != 0; abnormal when both vanish.
+    The model's growth_abnormal where model.is_abnormal (then identically),
+    growth_regular where the pole coordinate exceeds tol in size (always
+    for goursat:3, which has no pole), and growth_at_pole otherwise.
     """
     h = cov.h
-    n = model.dim
-    goursat = model.kind == "goursat"
     if cov.exact:
         tol = 0
-    if not model.has_pole:
-        return GrowthEntry((2, 3), True, True, False)
     if model.is_abnormal(h, tol):
-        return GrowthEntry((2, 3) if goursat else (2, 3, 4), False, False, True)
-    if abs(h[model.pole_index - 1]) > tol:
-        return GrowthEntry(tuple(range(2, n + 1)), True, True, False)
-    if goursat:
-        growth = [2]
-        for j in range(3, n):
-            growth += [j, j]
-        growth.append(n)
-        return GrowthEntry(tuple(growth), True, False, False)
-    return GrowthEntry((2, 3, 4, 4, 5), True, False, False)
+        return GrowthEntry(model.growth_abnormal, False, False, True)
+    if not model.has_pole or abs(h[model.pole_index - 1]) > tol:
+        return GrowthEntry(model.growth_regular, True, True, False)
+    return GrowthEntry(model.growth_at_pole, True, False, False)
 
 
 def _rank_fields(model):
@@ -82,20 +70,16 @@ def _rank_fields(model):
             for j in range(1, model.dim + 1)]
 
 
-def growth_vector_rank_oracle(model, cov, t=0.0):
+def growth_vector_rank_oracle(model, cov):
     """Growth vector from ranks of iterated brackets of a vertical frame.
 
-    Evaluates ad_H^k(d/dh_j) at lambda(t) (flowing the covector when t > 0),
-    stacks the canonical components, and reads dim F^i off SVD ranks.
-    Raises RankUnstable when the singular-value gap at the threshold is
-    smaller than a factor of 100.
+    Evaluates ad_H^k(d/dh_j) at the covector, stacks the canonical
+    components, and reads dim F^i off SVD ranks.  Raises RankUnstable when
+    the singular-value gap at the threshold is smaller than a factor of 100.
     """
     max_order = model.default_max_order
     n = model.dim
     cov = cov.as_float()
-    if t:
-        traj = integrate_flow(model, cov, t, drift_bound=SCAN_DRIFT_TOL)
-        cov = traj.covector(len(traj) - 1)
     hf = h_frame(model)
     fields = model.memo(_rank_fields)
     basis = hf.basis_at(cov)
@@ -162,8 +146,9 @@ def equiregularity_loss_times(model, cov, T, step=1e-3):
 
     Sign-change scan on the integration grid, refined by bisection (the
     zeros of an ample geodesic's pole coordinate are simple).  For unit-speed
-    Engel and Cartan covectors in strata C1/C2/C3/C6 the count is
-    cross-checked against the elliptic closed form.
+    Engel and Cartan covectors in strata C1/C2/C3/C6 the zeros are
+    cross-checked against the elliptic closed form, and a disagreement
+    beyond LOSS_TIME_TOL raises LossTimeMismatch.
     """
     entry = growth_vector_closed_form(model, cov)
     if not entry.ample:
@@ -231,7 +216,7 @@ def equiregularity_loss_times(model, cov, T, step=1e-3):
                 predicted.append(T)
             if len(predicted) != len(out) or any(
                     abs(a - b) > LOSS_TIME_TOL for a, b in zip(predicted, out)):
-                raise RuntimeError(
+                raise LossTimeMismatch(
                     "loss-time cross-check failed: integration found "
                     f"{out} but the elliptic closed form predicts {predicted}")
     return out

@@ -9,6 +9,7 @@ import pytest
 from carnotcurv import cli
 from carnotcurv import hamiltonian
 from carnotcurv import oracle
+from carnotcurv import regularity
 from carnotcurv.errors import IllConditioned
 from carnotcurv.groups import build_group
 
@@ -201,7 +202,60 @@ def test_unwritable_out_exit_2(capsys, tmp_path, command, where):
     assert err.startswith(f"error: cannot write {path}: ")
 
 
+@pytest.mark.parametrize("command", [
+    ("geodesic", "--group", "cartan", "--covector", "1,0,1,0.3,0.2",
+     "--T", "100"),
+    ("classify", "--group", "goursat:4", "--covector", "0.6,0.8,1,0",
+     "--T", "100")], ids=["geodesic", "classify"])
+def test_unwritable_out_refused_before_the_flow(capsys, monkeypatch,
+                                                tmp_path, command):
+    # the path was once tried only after the whole run (2.9 s for this
+    # geodesic); now no flow is integrated
+    def no_flow(*args, **kwargs):
+        raise AssertionError("integrate_flow called")
+
+    monkeypatch.setattr(cli, "integrate_flow", no_flow)
+    monkeypatch.setattr(regularity, "integrate_flow", no_flow)
+    path = tmp_path / "missing" / "x.out"
+    code, out, err = run(capsys, *command, "--out", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
+def test_unwritable_out_without_permission(capsys, monkeypatch, tmp_path):
+    # as root every path is writable, so the access test is simulated
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    path = tmp_path / "x.csv"
+    code, _, err = run(capsys, "geodesic", "--group", "goursat:3",
+                       "--covector", "1,0,0", "--out", str(path))
+    assert code == 2
+    assert err == f"error: cannot write {path}: Permission denied\n"
+    assert not path.exists()
+
+
+def test_out_file_untouched_when_the_run_fails(capsys, tmp_path):
+    # the check creates and truncates nothing; a drift exit 3 leaves the
+    # old file as it was
+    path = tmp_path / "g.csv"
+    path.write_text("previous run\n")
+    code, _, err = run(capsys, "geodesic", "--group", "goursat:5",
+                       "--covector", "1,0,1,0.3,0.1", "--T", "1",
+                       "--step", "0.5", "--out", str(path))
+    assert code == 3 and err.startswith("integrator error: ")
+    assert path.read_text() == "previous run\n"
+
+
 class TestClassify:
+    def test_separatrix_cross_check_exit_6(self, capsys):
+        # C5 separatrix: the float flow leaves the unstable orbit after
+        # about 11 time units, so the scan finds a loss the closed form does
+        # not have; this once ended in a RuntimeError traceback (exit 1)
+        code, out, err = run(capsys, "classify", "--group", "goursat:4",
+                             "--covector=-1,0,2,2", "--T", "20")
+        assert code == 6 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: loss-time cross-check failed: ")
+
     def test_engel_c7_abnormal(self, capsys):
         code, out, _ = run(capsys, "classify", "--group", "goursat:4",
                            "--covector", "0,1,0,0", "--T", "5")

@@ -75,9 +75,6 @@ class TestR11:
             cv.r11_goursat(4, (1e-9, 1.0, 1.0, 0.0))
         with pytest.raises(SingularCovector):
             cv.r11_cartan((1.0, 0.0, 0.0, 1.0, 0.0))
-        # explicit opt-in for asymptotics
-        v = cv.r11_goursat(4, (1e-9, 1.0, 1.0, 0.0), unchecked=True)
-        assert v < -1e15
         # n = 3 has no pole: the singular term carries a zero coefficient
         assert cv.r11_goursat(3, (0, 1, 2)) == 4
 
@@ -189,7 +186,7 @@ class TestFlowCovariance:
             hi = tuple(h[i])
             if abs(hi[0]) < 5e-2:
                 # near the pole: r11 * h1^2 approaches the singular-part limit
-                v = cv.r11_goursat(4, hi, unchecked=True)
+                v = cv.r11_goursat(4, hi)
                 limit = -(4 - 1) * (4 - 2) * (4 - 3) * hi[2] ** 2 * hi[1] ** 2
                 vals.append((v * hi[0] ** 2, limit))
         assert vals, "flow never came near the pole"

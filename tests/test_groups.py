@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from carnotcurv.errors import SingularFrame, UnsupportedGroup
+from carnotcurv.frames import frame_fields, h_frame
 from carnotcurv.groups import (Covector, build_group, cartan_h_from_chart,
                                engel_h_from_chart, fiber_transform,
                                parse_group_spec, validate_realization,
                                _cartan_a_base, _CARTAN_STRUCTURE)
+from carnotcurv.regularity import growth_vector_closed_form
 
 
 class TestBuild:
@@ -158,7 +160,7 @@ class TestCovector:
 
     def test_from_p_matches_from_h_at_origin(self, models):
         m = models["goursat:4"]
-        a = Covector.from_p(m, (1, 0, 1, 2))
+        a = Covector(m, (0, 0, 0, 0), (1, 0, 1, 2))
         b = Covector.from_h(m, (1, 0, 1, 2))
         assert a.h == b.h and a.p == b.p
 
@@ -176,3 +178,58 @@ class TestCovector:
         assert abs(covc.theta - 0.4) < 1e-12
         assert abs(covc.alpha - 1.5) < 1e-12
         assert abs(covc.beta + 0.8) < 1e-12
+
+
+# the README's seed field of the canonical frame: W = h1^(2 - n_a) d/dh_n
+# for Goursat (n_a = n - 1) and (h2/h3) d/dh4 - (h1/h3) d/dh5 for Cartan,
+# as coefficients on d/dh_1..d/dh_n at the fiber point h
+def _readme_w(model, h):
+    n = model.dim
+    coef = [Fraction(0)] * n
+    if model.kind == "goursat":
+        coef[n - 1] = h[0] ** (2 - (n - 1))
+    else:
+        coef[3], coef[4] = h[1] / h[2], -h[0] / h[2]
+    return coef
+
+
+@pytest.mark.parametrize("spec", [f"goursat:{n}" for n in range(3, 9)]
+                         + ["cartan"])
+def test_w_matches_the_readme_formula(spec):
+    # both algebras' W against the literal formula at rational points:
+    # d/dh_k has p-components column k of A^-1 and no x-components
+    m = build_group(spec)
+    n = m.dim
+    hf, ff = h_frame(m), frame_fields(m)
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        base = [Fraction(int(k), 3) for k in rng.integers(-4, 5, n)]
+        p = [Fraction(int(k), 4) for k in rng.integers(1, 9, n)]
+        cov = Covector(m, base, p)
+        h = cov.h
+        if h[m.pole_index - 1] == 0:
+            continue
+        coef = _readme_w(m, h)
+        assert hf.eval_at(hf.w_top, list(h)) == ([0] * n, coef)
+        _, ainv = fiber_transform(m, base)
+        want = (0,) * n + tuple(sum(ainv[j][k] * coef[k] for k in range(n))
+                                for j in range(n))
+        assert ff.w_top.eval(list(cov.xp())) == want
+
+
+@pytest.mark.parametrize("n, at_pole", [
+    (5, (2, 3, 3, 4, 4, 5)),
+    (6, (2, 3, 3, 4, 4, 5, 5, 6)),
+    (7, (2, 3, 3, 4, 4, 5, 5, 6, 6, 7)),
+    (8, (2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8))])
+def test_goursat_growth_tuples(n, at_pole):
+    # regular where h1 != 0, at_pole where only h1 vanishes, abnormal
+    # where h1 = h3 = 0
+    m = build_group(f"goursat:{n}")
+    regular = tuple(range(2, n + 1))
+    assert (m.growth_regular, m.growth_at_pole,
+            m.growth_abnormal) == (regular, at_pole, (2, 3))
+    for h, want in (((1, 0, 1), regular), ((0, 1, 1), at_pole),
+                    ((0, 1, 0), (2, 3))):
+        cov = Covector.from_h(m, h + (1,) * (n - 3))
+        assert growth_vector_closed_form(m, cov).growth == want

@@ -86,6 +86,16 @@ class TestIntegrate:
         assert traj.symplectic_defect() <= 1e-6
         assert np.allclose(traj.Ms[0], np.eye(8))
 
+    def test_symplectic_defect_propagates_nan(self, models):
+        # an overflowing covector fills M with NaN; the defect once read
+        # max(0.0, nan) = 0.0 and reported a perfect flow
+        m = models["goursat:4"]
+        cov = Covector.from_h(m, (1e200, 1, 0, 0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = integrate_flow(m, cov, 0.01, 1e-3, with_variational=True,
+                                  drift_bound=None)
+            assert math.isnan(traj.symplectic_defect())
+
     def test_engel_c6_linear_theta(self, models):
         m = models["goursat:4"]
         th0, c = 0.2, 1.0

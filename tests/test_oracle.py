@@ -170,14 +170,14 @@ class TestHigherDiagonal:
         for spec in ("goursat:3", "goursat:4", "cartan"):
             m = models[spec]
             cov = oc.random_rational_unit_covector(m, rng)
-            vals, resid = oc.higher_diagonal_invariants(m, cov, i_max=2)
+            vals, resid = oc.higher_diagonal_invariants(m, cov)
             assert vals[0] == oc.r11_exact(m, cov)
-            assert all(resid)
+            assert resid[0]
 
     def test_heisenberg_closure(self, models, rng):
         g3 = models["goursat:3"]
         cov = oc.random_rational_unit_covector(g3, rng)
-        vals, resid = oc.higher_diagonal_invariants(g3, cov)  # i_max = n_a = 2
+        vals, resid = oc.higher_diagonal_invariants(g3, cov)  # n_a = 2 steps
         assert len(vals) == 2 and len(resid) == 2
         assert resid[-1]     # frame closes exactly at the covector
 
@@ -206,8 +206,8 @@ class TestHigherDiagonal:
         bracket = hf.bracket
         monkeypatch.setattr(hf, "bracket",
                             lambda v, w: bracket(v, w) + bracket(v, w))
-        _, resid = oc.higher_diagonal_invariants(m, cov, i_max=1)
-        assert resid == [False]
+        _, resid = oc.higher_diagonal_invariants(m, cov)
+        assert resid[0] is False
 
     @pytest.mark.parametrize("spec, seed", [("goursat:6", 1), ("goursat:5", 3)])
     def test_float_covector_closes(self, models, spec, seed):
@@ -237,12 +237,6 @@ class TestHigherDiagonal:
         _, resid = oc.higher_diagonal_invariants(m, cov)
         assert resid == [True, True, False]
 
-    def test_index_guard(self, models):
-        g3 = models["goursat:3"]
-        cov = Covector.from_h(g3, (1, 0, 1))
-        with pytest.raises(IndexOutOfRange):
-            oc.higher_diagonal_invariants(g3, cov, i_max=5)
-
 
 class TestSflatFit:
     def test_engel_lead_and_lin(self, models):
@@ -262,11 +256,12 @@ class TestSflatFit:
         assert abs(fit.lead_a + 16) <= 1e-6 * 16
         assert abs(fit.lead_b + 1) <= 1e-6
 
-    def test_ill_conditioned_policy(self, models):
+    def test_ill_conditioned_policy(self, models, monkeypatch):
         g4 = models["goursat:4"]
         cov = Covector.from_h(g4, (0.8, 0.6, 0.5, 0.3))
+        monkeypatch.setattr(oc, "FIT_COND_MAX", 1.0)
         with pytest.raises(IllConditioned):
-            oc.sflat_fit(g4, cov, cond_max=1.0)
+            oc.sflat_fit(g4, cov)
 
     def test_fit_suite_checks_b_entries(self, models, monkeypatch):
         # lin_b and offdiag_max were once computed and never checked

@@ -9,10 +9,12 @@ from carnotcurv.errors import NotAmple, RankUnstable
 from carnotcurv.groups import (Covector, cartan_h_from_chart,
                                engel_h_from_chart)
 from carnotcurv.elliptic import complete_K, elliptic_coords
+from carnotcurv.hamiltonian import integrate_flow
 from carnotcurv.regularity import (equiregularity_loss_times,
                                    growth_report, growth_vector_closed_form,
                                    growth_vector_rank_oracle,
                                    rank_oracle_matches)
+from carnotcurv.tolerances import SCAN_DRIFT_TOL
 
 
 class TestClosedForm:
@@ -99,8 +101,12 @@ class TestRankOracle:
     def test_abnormality_flow_invariant(self, models):
         g4 = models["goursat:4"]
         cov = Covector.from_h(g4, (0.0, 1.0, 0.0, 1.0))
-        for t in (0.0, 0.5, 2.0):
-            seq = growth_vector_rank_oracle(g4, cov, t=t)
+        covs = [cov]
+        for t in (0.5, 2.0):
+            traj = integrate_flow(g4, cov, t, drift_bound=SCAN_DRIFT_TOL)
+            covs.append(traj.covector(len(traj) - 1))
+        for c in covs:
+            seq = growth_vector_rank_oracle(g4, c)
             assert seq[-1] < 4 and seq[-1] == seq[-2]
 
     def test_exact_zero_pole_agrees(self, models):
