@@ -2,17 +2,16 @@
 
 The right-hand side and its Jacobian are generated once per group model from
 the exact polynomial Hamiltonian field (the Jacobian is the symbolic
-derivative, not finite differences) and compiled to plain Python functions
-on Python floats: the state is unpacked once, each power v_i**k is bound
-once, and the Jacobian writes only its structurally nonzero entries.  The
-state part of an RK4 step is generated too, as one function with its four
-stages inlined, and the state is carried from step to step as a tuple of
-floats; the variational matrix keeps its numpy operations, its products
-BLAS matmuls.  The values equal those of numpy-scalar evaluation and of the
-numpy RK4 step bit for bit.  A power that overflows gives NaN values, not
-an OverflowError.  Conserved quantities are monitored and drift beyond a
-configurable bound (a NaN drift included) is an error rather than a silent
-failure.
+derivative, not finite differences) and compiled to plain Python code.  The
+right-hand side and the state part of an RK4 step (its four stages inlined)
+run on Python floats, each power v_i**k bound once, and the state is carried
+from step to step as a tuple of floats.  The Jacobians are one numpy block
+over the stage states of a chunk of steps, and the variational matrix keeps
+its numpy operations, its products BLAS matmuls.  The values equal those of
+numpy-scalar evaluation and of the numpy RK4 step bit for bit.  A power that
+overflows gives NaN values, not an OverflowError.  Conserved quantities are
+monitored and drift beyond a configurable bound (a NaN drift included) is an
+error rather than a silent failure.
 """
 from __future__ import annotations
 
@@ -31,13 +30,20 @@ from .tolerances import DRIFT_TOL
 # order, and Python's float ** calls the same C pow as a numpy scalar's, so
 # the values match numpy-scalar code bit for bit.  Python floats raise
 # OverflowError where numpy would warn and return inf; every value of that
-# block is then NaN (structural zeros of the Jacobian stay 0), and the NaN
-# drift fails the drift check of integrate_flow.
-_STAGE = """\
+# block is then NaN, and the NaN drift fails the drift check of
+# integrate_flow.
+_TRY = """\
     try:
 {powers}{values}    except OverflowError:
-        {nan} = math.nan
+        {targets} = math.nan
 """
+# The Jacobian block runs the same expressions as ufuncs over columns of
+# states.  Its powers are np.float_power, which calls C pow per element
+# (np.power's SIMD loop differs from C pow in the last bit), and a row where
+# one overflows is NaN at every structural nonzero, as in the block above.
+_IGNORE = """\
+    with np.errstate(all="ignore"):
+{powers}{values}"""
 
 # One RK4 step of the state with the four stages inlined.  The state and the
 # stage states y2, y3, y4 are the variables y*, u*, w*, z*, and the stage
@@ -52,28 +58,52 @@ def step(y, dt):
     return ({y_next}), ({u}), ({w}), ({z})
 """
 
+_JAC_BLOCK = """\
+def jac_block(Y):
+    J = np.zeros((len(Y), {size}))
+    bad = []
+    {unpack} = Y.T
+{stage}    if bad:
+        J[np.ix_(bad, JAC_INDEX)] = math.nan
+    return J.reshape(-1, {N}, {N})
+"""
+
+
+def _power(col, k, bad):
+    """col**k element by element with C pow, as Python's float ** computes
+    it; the rows in which a finite element overflows go into bad."""
+    p = np.float_power(col, k)
+    over = np.isinf(p)
+    if over.any():
+        bad.extend(np.flatnonzero(over & np.isfinite(col)).tolist())
+    return p
+
 
 def _names(var, count):
     return ", ".join(f"{var}{i}" for i in range(count))
 
 
-def _stage(polys, var, out):
-    """Source of the block that assigns the values of polys in the variables
-    var0, var1, ... to out0, out1, ..., NaN on overflow."""
+def _stage(entries, var, target, power="{v}**{k}", frame=_TRY):
+    """Source of the block that binds each power var_i**k that the
+    polynomials use to the expression power formats (v is var_i) and
+    assigns the value of each (index, poly) of entries to
+    target.format(index), inside frame."""
     used = set()
 
-    def power(i, k):
+    def name(i, k):
         if k == 1:
             return f"{var}{i}"
         used.add((i, k))
         return f"{var}{i}_{k}"
 
-    values = "".join(f"        {out}{i} = {p.to_pyexpr(power)}\n"
-                     for i, p in enumerate(polys))
-    return _STAGE.format(
-        powers="".join(f"        {var}{i}_{k} = {var}{i}**{k}\n"
+    targets = [target.format(k) for k, _ in entries]
+    values = "".join(f"        {t} = {p.to_pyexpr(name)}\n"
+                     for t, (_, p) in zip(targets, entries))
+    return frame.format(
+        powers="".join(f"        {var}{i}_{k} = "
+                       f"{power.format(v=f'{var}{i}', k=k)}\n"
                        for i, k in sorted(used)),
-        values=values, nan=" = ".join(f"{out}{i}" for i in range(len(polys))))
+        values=values, targets=" = ".join(targets))
 
 
 def _function(name, nvars, polys, tail):
@@ -81,13 +111,14 @@ def _function(name, nvars, polys, tail):
     polys, and tail returns the result built from it."""
     return (f"def {name}(y):\n"
             f"    {_names('v', nvars)} = y if y.__class__ is tuple "
-            f"else y.tolist()\n" + _stage(polys, "v", "o")
+            f"else y.tolist()\n" + _stage(list(enumerate(polys)), "v", "o{}")
             + f"    out = [{_names('o', len(polys))}]\n" + tail)
 
 
 def _step(comps):
     """Source of step(y, dt) for the field with components comps."""
     count = len(comps)
+    entries = list(enumerate(comps))
 
     def update(state, h, slope):
         return "".join(f"    {state}{i} = y{i} + {h}*{slope}{i}\n"
@@ -95,10 +126,10 @@ def _step(comps):
 
     return _STEP.format(
         unpack=_names("y", count),
-        k1=_stage(comps, "y", "a"), y2=update("u", "h2", "a"),
-        k2=_stage(comps, "u", "b"), y3=update("w", "h2", "b"),
-        k3=_stage(comps, "w", "c"), y4=update("z", "dt", "c"),
-        k4=_stage(comps, "z", "d"),
+        k1=_stage(entries, "y", "a{}"), y2=update("u", "h2", "a"),
+        k2=_stage(entries, "u", "b{}"), y3=update("w", "h2", "b"),
+        k3=_stage(entries, "w", "c{}"), y4=update("z", "dt", "c"),
+        k4=_stage(entries, "z", "d{}"),
         y_next=", ".join(f"y{i} + h6*(((a{i} + 2*b{i}) + 2*c{i}) + d{i})"
                          for i in range(count)),
         u=_names("u", count), w=_names("w", count), z=_names("z", count))
@@ -106,15 +137,15 @@ def _step(comps):
 
 class CompiledFlow:
     """Generated numeric callables for one model: rhs(y) and h_of(y) return
-    arrays, H_of(y) a float, jac(y) the dense 2n x 2n Jacobian, and
-    step(y, dt) the RK4 step of the state as tuples (y_next, y2, y3, y4).
-    Each takes y as a tuple of floats or a float array."""
+    arrays, H_of(y) a float, and step(y, dt) the RK4 step of the state as
+    tuples (y_next, y2, y3, y4); each takes y as a tuple of floats or a
+    float array.  jac_block(Y) maps a (K, 2n) array of states to the
+    (K, 2n, 2n) array of their Jacobians, one numpy block for all K, and
+    jac(y) is its one-row call."""
 
     def __init__(self, model):
         ff = frame_fields(model)
-        n = model.dim
-        self.n = n
-        N = 2 * n
+        N = 2 * model.dim
         comps = [c.num for c in ff.hvec.comps]
         entries = [(m * N + l, comps[m].diff(l))
                    for m in range(N) for l in range(N)]
@@ -122,30 +153,68 @@ class CompiledFlow:
 
         array = "    return np.array(out)\n"
         src = (_function("rhs", N, comps, array)
-               + _function("jac", N, [d for _, d in entries],
-                           f"    J = np.zeros(({N}, {N}))\n"
-                           f"    J.put(JAC_INDEX, out)\n"
-                           f"    return J\n")
                + _function("h_of", N, ff.h_poly, array)
                + _function("H_of", N, [ff.H_poly], "    return out[0]\n"))
-        step = _step(comps)
+        # the Jacobians at the rows of Y, one column of J per nonzero entry
+        block = _JAC_BLOCK.format(
+            size=N * N, N=N, unpack=_names("v", N),
+            stage=_stage(entries, "v", "J[:, {}]",
+                         power="_power({v}, {k}, bad)", frame=_IGNORE))
+        parts = (src, _step(comps), block)
 
-        ns = {"np": np, "math": math,
+        ns = {"np": np, "math": math, "_power": _power,
               "JAC_INDEX": np.array([k for k, _ in entries], dtype=np.intp)}
-        # one compile per part keeps the parser's peak memory to the larger
-        for part in (src, step):
+        # one compile per part keeps the parser's peak memory to the largest
+        for part in parts:
             exec(compile(part, f"<flow:{model.spec_string}>", "exec"), ns)
-        src += step
         self.rhs = ns["rhs"]
-        self.jac = ns["jac"]
         self.h_of = ns["h_of"]
         self.H_of = ns["H_of"]
         self.step = ns["step"]
-        self.source = src
+        self.jac_block = ns["jac_block"]
+        self.source = "".join(parts)
+
+    def jac(self, y):
+        """The dense 2n x 2n Jacobian at one state y."""
+        return self.jac_block(np.array([y], dtype=float))[0]
 
 
 def compiled_flow(model):
     return model.memo(CompiledFlow)
+
+
+# steps whose Jacobians integrate_flow evaluates in one jac_block call
+CHUNK = 64
+
+
+def _steps(cf, y, dt, count, M):
+    """count RK4 steps from y, and of M' = jac(y) M when M is given: the
+    states after each step (tuples of floats) and the matrices (None without
+    M).  The Jacobians at the 4 * count stage states are one jac_block call.
+    """
+    step = cf.step
+    states = []
+    stages = array("d")
+    for _ in range(count):
+        y_next, y2, y3, y4 = step(y, dt)
+        if M is not None:
+            for v in (y, y2, y3, y4):
+                stages.extend(v)
+        states.append(y_next)
+        y = y_next
+    if M is None:
+        return states, [None] * count
+    N = len(M)
+    J = cf.jac_block(np.frombuffer(stages).reshape(-1, N))
+    Ms = []
+    for j1, j2, j3, j4 in J.reshape(count, 4, N, N):
+        m1 = j1 @ M
+        m2 = j2 @ (M + 0.5 * dt * m1)
+        m3 = j3 @ (M + 0.5 * dt * m2)
+        m4 = j4 @ (M + dt * m3)
+        M = M + (dt / 6.0) * (m1 + 2 * m2 + 2 * m3 + m4)
+        Ms.append(M)
+    return states, Ms
 
 
 def rk4_step(cf, y, dt, M=None):
@@ -153,18 +222,10 @@ def rk4_step(cf, y, dt, M=None):
     matrix M (y' = rhs(y), M' = jac(y) M) when one is given.
 
     Returns (y, M) at t + dt, y as a tuple of floats and M being None when
-    none was given.  The state part is the generated cf.step; the matrix
-    part stays numpy, its products BLAS matmuls.
+    none was given.
     """
-    y_next, y2, y3, y4 = cf.step(y, dt)
-    if M is None:
-        return y_next, None
-    jac = cf.jac
-    m1 = jac(y) @ M
-    m2 = jac(y2) @ (M + 0.5 * dt * m1)
-    m3 = jac(y3) @ (M + 0.5 * dt * m2)
-    m4 = jac(y4) @ (M + dt * m3)
-    return y_next, M + (dt / 6.0) * (m1 + 2 * m2 + 2 * m3 + m4)
+    states, Ms = _steps(cf, y, dt, 1, M)
+    return states[0], Ms[0]
 
 
 def flow_rhs(model, cov):
@@ -172,51 +233,6 @@ def flow_rhs(model, cov):
     cf = compiled_flow(model)
     y = np.array([float(v) for v in cov.xp()])
     return cf.rhs(y)
-
-
-def fiber_rhs(model, cov):
-    """Closed-form vertical equations hdot at a covector (floats).
-
-    The reference side of the dual check: fiber_rhs_via_canonical recomputes
-    the same derivative through the (x, p) flow and the frame matrix, and
-    the two must agree to machine precision (the symbolic version of this
-    identity is exact; see the frames tests).
-    """
-    h = [float(v) for v in cov.h]
-    n = model.dim
-    out = [0.0] * n
-    if model.kind == "goursat":
-        out[0] = -h[1] * h[2]
-        for i in range(1, n - 1):
-            out[i] = h[0] * h[i + 1]
-    else:
-        out[0] = -h[1] * h[2]
-        out[1] = h[0] * h[2]
-        out[2] = h[0] * h[3] + h[1] * h[4]
-    return np.array(out)
-
-
-def fiber_rhs_via_canonical(model, cov):
-    """hdot obtained numerically from the (x, p) right-hand side."""
-    cf = compiled_flow(model)
-    y = np.array([float(v) for v in cov.xp()])
-    dy = cf.rhs(y)
-    n = model.dim
-    x, p = y[:n], y[n:]
-    dx, dp = dy[:n], dy[n:]
-    hdot = np.zeros(n)
-    for i in range(n):
-        for j in range(n):
-            poly = model.a_base[i][j]
-            if poly.is_zero:
-                continue
-            aij = float(poly.eval(list(x)))
-            hdot[i] += aij * dp[j]
-            for m in range(n):
-                d = poly.diff(m)
-                if not d.is_zero:
-                    hdot[i] += float(d.eval(list(x))) * dx[m] * p[j]
-    return hdot
 
 
 class Trajectory:
@@ -361,18 +377,21 @@ def integrate_flow(model, cov, T, step=1e-3, with_variational=False,
             hstep = math.copysign(abs(T) / nsteps, T)
 
             # the state is a tuple of floats, its samples packed into one
-            # float buffer; rk4_step returns fresh matrices, so the stored
+            # float buffer; _steps returns fresh matrices, so the stored
             # samples need no copy
             M = np.eye(N) if with_variational else None
             ts, ys, Ms = [0.0], array("d", y), [M]
             t = 0.0
-            for k in range(nsteps):
-                y, M = rk4_step(cf, y, hstep, M)
-                t += hstep
-                if (k + 1) % store_every == 0 or k == nsteps - 1:
-                    ts.append(t)
-                    ys.extend(y)
-                    Ms.append(M)
+            for start in range(0, nsteps, CHUNK):
+                count = min(CHUNK, nsteps - start)
+                states, mats = _steps(cf, y, hstep, count, M)
+                for k, y, M in zip(range(start + 1, start + count + 1),
+                                   states, mats):
+                    t += hstep
+                    if k % store_every == 0 or k == nsteps:
+                        ts.append(t)
+                        ys.extend(y)
+                        Ms.append(M)
 
             traj = Trajectory(model, np.array(ts),
                               np.frombuffer(ys).reshape(-1, N),

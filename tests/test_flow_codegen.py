@@ -1,11 +1,15 @@
 """CompiledFlow against the reference numpy-scalar generator, bit for bit.
 
-The Python-float code must reproduce the reference values exactly: the same
+The generated code must reproduce the reference values exactly: the same
 terms in the same order, each power through the same C pow, and every
-structurally nonzero Jacobian entry in place.  An overflowing power gives
-NaN outputs instead of an OverflowError.
+structurally nonzero Jacobian entry in place, for one state and for a
+stack of states in jac_block.  An overflowing power gives NaN outputs
+instead of an OverflowError.  integrate_flow steps the state and then the
+variational matrix a chunk of CHUNK steps at a time, and its samples must
+not depend on where the chunks end.
 """
 import functools
+import math
 import warnings
 
 import numpy as np
@@ -14,8 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carnotcurv.errors import StepTooLarge
+from carnotcurv.frames import frame_fields
 from carnotcurv.groups import Covector, build_group
-from carnotcurv.hamiltonian import compiled_flow, integrate_flow
+from carnotcurv.hamiltonian import (CHUNK, compiled_flow, integrate_flow,
+                                    step_count)
 from reference_flow import ReferenceFlow, reference_rk4_step
 
 SPECS = ("goursat:3", "goursat:4", "goursat:5", "goursat:6", "goursat:7",
@@ -76,6 +82,114 @@ def test_variational_run_matches_reference_loop(spec):
         Ms.append(M)
     assert traj.ys.tobytes() == np.array(ys).tobytes()
     assert traj.Ms.tobytes() == np.array(Ms).tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def jacobian_structure(spec):
+    """The structurally nonzero entries of the Jacobian, as a boolean
+    2n x 2n mask, and the powers (i, k), k >= 2, that its entries use."""
+    comps = [c.num for c in frame_fields(build_group(spec)).hvec.comps]
+    N = len(comps)
+    mask = np.zeros((N, N), dtype=bool)
+    powers = set()
+    for m in range(N):
+        for l in range(N):
+            d = comps[m].diff(l)
+            mask[m, l] = not d.is_zero
+            powers.update((i, k) for e, _ in d.monomials()
+                          for i, k in enumerate(e) if k >= 2)
+    return mask, powers
+
+
+def overflows(row, powers):
+    """Whether a power of the scalar code raises OverflowError at row."""
+    try:
+        for i, k in powers:
+            float(row[i]) ** k
+    except OverflowError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_jac_block_matches_reference(spec, data):
+    # a stack of 1-9 states: some rows get a coordinate of size 1e150-1e200,
+    # one row an inf coordinate and one a NaN; each row must be the
+    # reference Jacobian at that row, or NaN at every structural nonzero
+    # where the scalar code's power overflows
+    model, cf, ref = flows(spec)
+    N = 2 * model.dim
+    Y = np.array(data.draw(st.lists(states(model), min_size=1, max_size=9)))
+    huge = st.floats(1e150, 1e200).flatmap(
+        lambda v: st.sampled_from((v, -v)))
+    for row in data.draw(st.sets(st.integers(0, len(Y) - 1))):
+        Y[row, data.draw(st.integers(0, N - 1))] = data.draw(huge)
+    rows = data.draw(st.permutations(range(len(Y))))
+    for row, v in zip(rows, (math.inf, math.nan)):
+        Y[row, data.draw(st.integers(0, N - 1))] = v
+    mask, powers = jacobian_structure(spec)
+    got = cf.jac_block(Y)
+    assert got.shape == (len(Y), N, N) and got.flags.c_contiguous
+    for row, J in zip(Y, got):
+        if overflows(row, powers):
+            assert np.array_equal(np.isnan(J), mask), row.tolist()
+            assert not J[~mask].any(), row.tolist()
+            continue
+        with np.errstate(all="ignore"):
+            want = ref.jac(row)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(J), nan), row.tolist()
+        assert J[~nan].tobytes() == want[~nan].tobytes(), row.tolist()
+
+
+def reference_run(ref, cov, T, step, store_every, variational):
+    """ts, ys and Ms of integrate_flow from the reference step, one step at
+    a time, sampled as integrate_flow samples them."""
+    nsteps = step_count(T, step)
+    dt = math.copysign(abs(T) / nsteps, T)
+    y = np.array([float(v) for v in cov.xp()])
+    M = np.eye(len(y)) if variational else None
+    t, ts, ys, Ms = 0.0, [0.0], [y], [M]
+    for k in range(1, nsteps + 1):
+        y, M = reference_rk4_step(ref, y, dt, M)
+        t += dt
+        if k % store_every == 0 or k == nsteps:
+            ts.append(t)
+            ys.append(y)
+            Ms.append(M)
+    return np.array(ts), np.array(ys), np.array(Ms) if variational else None
+
+
+@pytest.mark.parametrize("spec", ("goursat:5", "cartan"))
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+@pytest.mark.parametrize("variational,richardson",
+                         [(True, False), (True, True), (False, False)])
+def test_chunked_run_matches_reference_loop(spec, sign, variational,
+                                            richardson):
+    # 2 * CHUNK + 37 steps sampled every 7th: two whole chunks, a partial
+    # one, and samples on both sides of each chunk boundary
+    model, _, ref = flows(spec)
+    n = model.dim
+    cov = Covector.from_h(model, H0[:n], base=BASE[:n])
+    nsteps = 2 * CHUNK + 37
+    T, step = sign * nsteps * 1e-3, 1e-3
+    assert step_count(T, step) == nsteps
+    traj = integrate_flow(model, cov, T, step, with_variational=variational,
+                          store_every=7, richardson=richardson)
+    ts, ys, Ms = reference_run(ref, cov, T, step, 7, variational)
+    if richardson:
+        _, ys2, Ms2 = reference_run(ref, cov, T, step / 2, 14, variational)
+        ys = (16.0 * ys2 - ys) / 15.0
+        Ms = (16.0 * Ms2 - Ms) / 15.0 if variational else None
+    assert len(ts) == 2 + nsteps // 7
+    assert traj.ts.tobytes() == ts.tobytes()
+    assert traj.ys.tobytes() == ys.tobytes()
+    if variational:
+        assert traj.Ms.tobytes() == Ms.tobytes()
+    else:
+        assert traj.Ms is None
 
 
 class TestOverflow:

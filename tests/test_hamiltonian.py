@@ -8,11 +8,55 @@ import pytest
 
 from carnotcurv.errors import StepTooLarge
 from carnotcurv.groups import Covector, build_group, engel_h_from_chart
-from carnotcurv.hamiltonian import (MAX_STEPS, Trajectory,
-                                    conserved_quantities, fiber_rhs,
-                                    fiber_rhs_via_canonical, flow_rhs,
+from carnotcurv.hamiltonian import (MAX_STEPS, Trajectory, compiled_flow,
+                                    conserved_quantities, flow_rhs,
                                     integrate_flow, step_count)
 from reference_export import export_csv as reference_export
+
+
+def fiber_rhs(model, cov):
+    """Closed-form vertical equations hdot at a covector (floats).
+
+    The reference side of the dual check: fiber_rhs_via_canonical recomputes
+    the same derivative through the (x, p) flow and the frame matrix, and
+    the two must agree to machine precision (the symbolic version of this
+    identity is exact; see the frames tests).
+    """
+    h = [float(v) for v in cov.h]
+    n = model.dim
+    out = [0.0] * n
+    if model.kind == "goursat":
+        out[0] = -h[1] * h[2]
+        for i in range(1, n - 1):
+            out[i] = h[0] * h[i + 1]
+    else:
+        out[0] = -h[1] * h[2]
+        out[1] = h[0] * h[2]
+        out[2] = h[0] * h[3] + h[1] * h[4]
+    return np.array(out)
+
+
+def fiber_rhs_via_canonical(model, cov):
+    """hdot obtained numerically from the (x, p) right-hand side."""
+    cf = compiled_flow(model)
+    y = np.array([float(v) for v in cov.xp()])
+    dy = cf.rhs(y)
+    n = model.dim
+    x, p = y[:n], y[n:]
+    dx, dp = dy[:n], dy[n:]
+    hdot = np.zeros(n)
+    for i in range(n):
+        for j in range(n):
+            poly = model.a_base[i][j]
+            if poly.is_zero:
+                continue
+            aij = float(poly.eval(list(x)))
+            hdot[i] += aij * dp[j]
+            for m in range(n):
+                d = poly.diff(m)
+                if not d.is_zero:
+                    hdot[i] += float(d.eval(list(x))) * dx[m] * p[j]
+    return hdot
 
 
 class TestFlowRhs:
