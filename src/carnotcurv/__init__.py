@@ -20,8 +20,7 @@ from .groups import (Covector, GroupModel, build_group, cartan_h_from_chart,
                      engel_h_from_chart, fiber_transform, parse_group_spec)
 from .symfields import Poly, Rat, RatVecField, sigma_pair, sigma_pair_fields
 from .frames import frame_fields, h_frame, verify_bracket_identities
-from .hamiltonian import (Trajectory, conserved_quantities, flow_rhs,
-                          integrate_flow)
+from .hamiltonian import Trajectory, conserved_quantities, integrate_flow
 from .elliptic import (PendulumChart, classify_pendulum, complete_K,
                        elliptic_coords, jacobi_sn_cn_dn, pendulum_closed_form)
 from .regularity import (GrowthReport, equiregularity_loss_times,
@@ -29,7 +28,7 @@ from .regularity import (GrowthReport, equiregularity_loss_times,
                          growth_vector_rank_oracle)
 from .curvature import (CurvatureReport, coeff_A, coeff_A_sums,
                         curvature_operator, energy_bound, omega, r11,
-                        r11_cartan, r11_goursat, sflat_model)
+                        r11_cartan, r11_goursat)
 from .oracle import (aij_coefficients, canonical_E_top, cost_hessian_probe,
                      frame_darboux_check, higher_diagonal_invariants,
                      r11_exact, sflat_fit)

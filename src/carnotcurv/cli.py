@@ -1,16 +1,17 @@
 """Command-line front end.
 
 Subcommands: geodesic | classify | curvature | verify | sweep.
-Exit codes: 0 ok, 2 usage (also a --T/--step horizon that is not finite or
-needs more than hamiltonian.MAX_STEPS steps, a curvature or sweep value that
-is not a finite float, a group whose exact polynomials pass the kernel's
-degree limit, and an --out path that cannot be written, refused before
-any work), 3 integrator, 4 not-ample-equiregular, 5 singular-covector, 6
-verification-failed (a check failed, or a numerical oracle could not
-decide: RankUnstable, IllConditioned, ShootingDiverged, StepUnbalanced,
-LemmaConditionFailed, and LossTimeMismatch, where classify's loss-time
-scan and the elliptic closed form disagree, as on a separatrix the float
-flow leaves).
+Exit codes: 0 ok, 2 usage (also a covector that does not parse or has the
+wrong length, refused before the model is built, a --T/--step horizon that
+is not finite or needs more than hamiltonian.MAX_STEPS steps, a curvature
+or sweep value that is not a finite float, a group whose exact polynomials
+pass the kernel's degree limit, and an --out path that cannot be written,
+refused before any work), 3 integrator, 4 not-ample-equiregular, 5
+singular-covector, 6 verification-failed (a check failed, or a numerical
+oracle could not decide: RankUnstable, IllConditioned, ShootingDiverged,
+StepUnbalanced, LemmaConditionFailed, and LossTimeMismatch, where
+classify's loss-time scan and the elliptic closed form disagree, as on a
+separatrix the float flow leaves).
 
 Covectors are given in h-coordinates at the origin (where the frame is the
 coordinate basis).  Tokens parse as exact rationals when possible ("1",
@@ -36,7 +37,7 @@ from .errors import (CarnotError, DegreeOverflow, IllConditioned,
                      NotAmpleEquiregular, NotUnitSpeed, RankUnstable,
                      ShootingDiverged, SingularCovector, StepTooLarge,
                      StepUnbalanced, UnsupportedGroup, WrongStratum)
-from .groups import Covector, build_group
+from .groups import Covector, build_group, parse_group_spec
 from .hamiltonian import integrate_flow, step_count
 from . import curvature as curvature_mod
 from . import elliptic
@@ -67,7 +68,7 @@ def _parse_covector(text):
             raise UsageError(f"empty covector component in {text!r}")
         try:
             vals.append(Fraction(tok))
-        except ValueError:
+        except (ValueError, ZeroDivisionError):     # "1/0" and "0/0" too
             try:
                 vals.append(float(tok))
                 exact = False
@@ -120,21 +121,25 @@ def _emit(text, out):
         fh.write(text)
 
 
-def _covector_from_args(model, args):
+def _model_and_covector(args):
+    """The group model and the --covector at its origin; a covector that
+    does not parse or has the wrong length is refused before the model is
+    built."""
+    kind, dim = parse_group_spec(args.group)
     if not args.covector:
         raise UsageError("--covector is required")
     vals = _parse_covector(args.covector)
-    if len(vals) != model.dim:
+    if len(vals) != dim:
+        spec = f"goursat:{dim}" if kind == "goursat" else "cartan"
         raise UsageError(
-            f"covector needs {model.dim} components for {model.spec_string}, "
-            f"got {len(vals)}")
-    return Covector.from_h(model, vals)
+            f"covector needs {dim} components for {spec}, got {len(vals)}")
+    model = build_group(args.group)
+    return model, Covector.from_h(model, vals)
 
 
 def cmd_geodesic(args):
     step_count(args.T, args.step)   # a bad horizon fails before any work
-    model = build_group(args.group)
-    cov = _covector_from_args(model, args)
+    model, cov = _model_and_covector(args)
     cfg = _config_dict(args, ("group", "covector", "T", "step", "format",
                               "out", "seed", "tol-drift"))
     traj = integrate_flow(model, cov.as_float(), args.T, step=args.step,
@@ -155,8 +160,7 @@ def cmd_geodesic(args):
 
 def cmd_classify(args):
     step_count(args.T, args.step)
-    model = build_group(args.group)
-    cov = _covector_from_args(model, args)
+    model, cov = _model_and_covector(args)
     cfg = _config_dict(args, ("group", "covector", "T", "step", "format",
                               "out", "seed", "tol-class"))
     report = regularity.growth_report(model, cov, T=args.T, step=args.step)
@@ -179,8 +183,7 @@ def cmd_classify(args):
 
 
 def cmd_curvature(args):
-    model = build_group(args.group)
-    cov = _covector_from_args(model, args)
+    model, cov = _model_and_covector(args)
     cfg = _config_dict(args, ("group", "covector", "format", "out", "seed"))
     report = curvature_mod.curvature_operator(model, cov)
     # an exact R11 beyond the float range would end in an OverflowError

@@ -181,8 +181,12 @@ def curvature_operator(model, cov):
     NotAmpleEquiregular.
     """
     if not cov.is_unit_speed():
+        try:
+            two_h = 2 * float(cov.H)
+        except OverflowError:    # an exact 2H beyond the float range
+            two_h = math.inf
         raise NotAmpleEquiregular(
-            f"curvature is defined for unit-speed covectors; 2H = {2 * float(cov.H)}")
+            f"curvature is defined for unit-speed covectors; 2H = {two_h}")
     value = r11(model, cov)
     entry = growth_vector_closed_form(model, cov)
     if not (entry.ample and entry.equiregular):
@@ -190,20 +194,6 @@ def curvature_operator(model, cov):
             f"covector is not ample and equiregular at 0 "
             f"(growth {entry.growth}, abnormal={entry.abnormal})")
     return CurvatureReport(model, cov, value)
-
-
-def sflat_model(diagram, r11_value, t):
-    """Two-term Laurent model of S_flat(t)^{-1} for a two-row diagram.
-
-    Entry (a, a) is -n_a^2/t + R11 Omega(n_a, n_a) t; entry (b, b) is
-    -n_b^2/t (every curvature with a b index vanishes); off-diagonal zero.
-    """
-    n_a, n_b = diagram
-    if t == 0:
-        raise ValueError("t must be nonzero")
-    aa = -n_a * n_a / t + float(r11_value) * float(omega(n_a, n_a)) * t
-    bb = -n_b * n_b / t
-    return ((aa, 0.0), (0.0, bb))
 
 
 def bound_slack(model, cov):
@@ -222,11 +212,6 @@ def bound_slack(model, cov):
         cross = h[0] * h[3] + h[1] * h[4]
         top = 8 * cross * cross
     return top / (pole * pole)
-
-
-def goursat_r_coefficient(n):
-    """3(n-1)/(4(n-1)^2 - 1) as an exact rational (equals 3*omega(n-1, n-1))."""
-    return Fraction(3 * (n - 1), 4 * (n - 1) ** 2 - 1)
 
 
 def heisenberg_R(cov):

@@ -13,6 +13,7 @@ A(base), A[i][j] = j-th coordinate of X_{i+1}.
 """
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -178,8 +179,15 @@ class GroupModel:
         return f"GroupModel({self.spec_string})"
 
 
+@functools.lru_cache(maxsize=None)
 def parse_group_spec(spec):
-    """Parse 'goursat:<n>' | 'cartan' into (kind, n)."""
+    """Parse 'goursat:<n>' | 'cartan' into (kind, n).
+
+    A goursat:n whose frame's top power x^(n-2) is past the exact kernel's
+    degree limit raises DegreeOverflow here, before any model work; the
+    power is taken in one variable, so the probe's size does not grow
+    with n.
+    """
     s = spec.strip().lower()
     if s == "cartan":
         return ("cartan", 5)
@@ -190,6 +198,7 @@ def parse_group_spec(spec):
             raise UnsupportedGroup(f"unsupported group: {spec!r}") from None
         if n < 3:
             raise UnsupportedGroup(f"unsupported group: goursat requires n >= 3, got {n}")
+        Poly.variable(1, 0) ** (n - 2)      # raises past the limit
         return ("goursat", n)
     raise UnsupportedGroup(f"unsupported group: {spec!r}")
 

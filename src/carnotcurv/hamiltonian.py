@@ -1,13 +1,14 @@
 """Normal geodesic flow: fixed-step RK4 on T*R^n with variational equations.
 
-The right-hand side and its Jacobian are generated once per group model from
-the exact polynomial Hamiltonian field (the Jacobian is the symbolic
-derivative, not finite differences) and compiled to plain Python code.  The
-right-hand side and the state part of an RK4 step (its four stages inlined)
-run on Python floats, each power v_i**k bound once, and the state is carried
-from step to step as a tuple of floats.  The Jacobians are one numpy block
-over the stage states of a chunk of steps, and the variational matrix keeps
-its numpy operations, its products BLAS matmuls.  The values equal those of
+The polynomial maps of the flow are generated once per group model from the
+exact polynomial Hamiltonian field: the right-hand side, the fiber
+coordinates h, the energy H and the Jacobian of the variational equations
+(the symbolic derivative, not finite differences).  Each map is one numpy
+block over a stack of states, a chain of ufuncs over their columns.  Only
+the state part of an RK4 step is scalar: it runs on Python floats with its
+four stages inlined, each power v_i**k bound once, and the state is carried
+from step to step as a tuple of floats.  The variational matrix keeps its
+numpy operations, its products BLAS matmuls.  The values equal those of
 numpy-scalar evaluation and of the numpy RK4 step bit for bit.  A power that
 overflows gives NaN values, not an OverflowError.  Conserved quantities are
 monitored and drift beyond a configurable bound (a NaN drift included) is an
@@ -26,21 +27,20 @@ from .frames import frame_fields
 from .groups import Covector
 from .tolerances import DRIFT_TOL
 
-# The generated code binds each power v_i**k once and keeps the product
-# order, and Python's float ** calls the same C pow as a numpy scalar's, so
-# the values match numpy-scalar code bit for bit.  Python floats raise
-# OverflowError where numpy would warn and return inf; every value of that
-# block is then NaN, and the NaN drift fails the drift check of
-# integrate_flow.
+# The step binds each power v_i**k once and keeps the product order, and
+# Python's float ** calls the same C pow as a numpy scalar's, so the values
+# match numpy-scalar code bit for bit.  Python floats raise OverflowError
+# where numpy would warn and return inf; every value of that stage is then
+# NaN, and the NaN drift fails the drift check of integrate_flow.
 _TRY = """\
     try:
 {powers}{values}    except OverflowError:
         {targets} = math.nan
 """
-# The Jacobian block runs the same expressions as ufuncs over columns of
-# states.  Its powers are np.float_power, which calls C pow per element
-# (np.power's SIMD loop differs from C pow in the last bit), and a row where
-# one overflows is NaN at every structural nonzero, as in the block above.
+# The blocks run the same expressions as ufuncs over columns of states.
+# Their powers are np.float_power, which calls C pow per element (np.power's
+# SIMD loop differs from C pow in the last bit), and a row where one
+# overflows is NaN at every index of INDEX, as the step's stage above.
 _IGNORE = """\
     with np.errstate(all="ignore"):
 {powers}{values}"""
@@ -58,14 +58,15 @@ def step(y, dt):
     return ({y_next}), ({u}), ({w}), ({z})
 """
 
-_JAC_BLOCK = """\
-def jac_block(Y):
-    J = np.zeros((len(Y), {size}))
+# A map of a (K, 2n) array of states, its values in the columns of out.
+_BLOCK = """\
+def {name}(Y):
+    out = np.zeros((len(Y), {size}))
     bad = []
     {unpack} = Y.T
 {stage}    if bad:
-        J[np.ix_(bad, JAC_INDEX)] = math.nan
-    return J.reshape(-1, {N}, {N})
+        out[np.ix_(bad, INDEX)] = math.nan
+    return out.reshape({shape})
 """
 
 
@@ -106,15 +107,6 @@ def _stage(entries, var, target, power="{v}**{k}", frame=_TRY):
         values=values, targets=" = ".join(targets))
 
 
-def _function(name, nvars, polys, tail):
-    """Source of a function of y (nvars floats): out lists the values of
-    polys, and tail returns the result built from it."""
-    return (f"def {name}(y):\n"
-            f"    {_names('v', nvars)} = y if y.__class__ is tuple "
-            f"else y.tolist()\n" + _stage(list(enumerate(polys)), "v", "o{}")
-            + f"    out = [{_names('o', len(polys))}]\n" + tail)
-
-
 def _step(comps):
     """Source of step(y, dt) for the field with components comps."""
     count = len(comps)
@@ -135,48 +127,50 @@ def _step(comps):
         u=_names("u", count), w=_names("w", count), z=_names("z", count))
 
 
+def _block(name, nvars, entries, shape):
+    """(name, source, INDEX) of the block name(Y): the value of each (index,
+    poly) of entries at the rows of Y goes to that index of a row of shape,
+    and a row where a power overflows is NaN at every index of entries,
+    those of zero polys included."""
+    nonzero = [(k, p) for k, p in entries if not p.is_zero]
+    source = _BLOCK.format(
+        name=name, size=math.prod(shape), unpack=_names("v", nvars),
+        shape=", ".join(map(str, (-1, *shape))),
+        stage=_stage(nonzero, "v", "out[:, {}]",
+                     power="_power({v}, {k}, bad)", frame=_IGNORE))
+    return name, source, np.array([k for k, _ in entries], dtype=np.intp)
+
+
 class CompiledFlow:
-    """Generated numeric callables for one model: rhs(y) and h_of(y) return
-    arrays, H_of(y) a float, and step(y, dt) the RK4 step of the state as
-    tuples (y_next, y2, y3, y4); each takes y as a tuple of floats or a
-    float array.  jac_block(Y) maps a (K, 2n) array of states to the
-    (K, 2n, 2n) array of their Jacobians, one numpy block for all K, and
-    jac(y) is its one-row call."""
+    """Generated numeric callables for one model.  rhs, h_of, H_of and
+    jac_block each map a (K, 2n) array of states, one numpy block for all
+    K, to the (K, 2n) array of the field, the (K, n) array of h, the (K,)
+    array of H and the (K, 2n, 2n) array of the Jacobians; a single state
+    is a one-row call.  step(y, dt), the one scalar callable, is the RK4
+    step of the state as tuples (y_next, y2, y3, y4), y a tuple of floats
+    or a float array."""
 
     def __init__(self, model):
         ff = frame_fields(model)
-        N = 2 * model.dim
+        n = model.dim
+        N = 2 * n
         comps = [c.num for c in ff.hvec.comps]
-        entries = [(m * N + l, comps[m].diff(l))
-                   for m in range(N) for l in range(N)]
-        entries = [(k, d) for k, d in entries if not d.is_zero]
-
-        array = "    return np.array(out)\n"
-        src = (_function("rhs", N, comps, array)
-               + _function("h_of", N, ff.h_poly, array)
-               + _function("H_of", N, [ff.H_poly], "    return out[0]\n"))
-        # the Jacobians at the rows of Y, one column of J per nonzero entry
-        block = _JAC_BLOCK.format(
-            size=N * N, N=N, unpack=_names("v", N),
-            stage=_stage(entries, "v", "J[:, {}]",
-                         power="_power({v}, {k}, bad)", frame=_IGNORE))
-        parts = (src, _step(comps), block)
-
-        ns = {"np": np, "math": math, "_power": _power,
-              "JAC_INDEX": np.array([k for k, _ in entries], dtype=np.intp)}
-        # one compile per part keeps the parser's peak memory to the largest
-        for part in parts:
-            exec(compile(part, f"<flow:{model.spec_string}>", "exec"), ns)
-        self.rhs = ns["rhs"]
-        self.h_of = ns["h_of"]
-        self.H_of = ns["H_of"]
-        self.step = ns["step"]
-        self.jac_block = ns["jac_block"]
-        self.source = "".join(parts)
-
-    def jac(self, y):
-        """The dense 2n x 2n Jacobian at one state y."""
-        return self.jac_block(np.array([y], dtype=float))[0]
+        jac = [(m * N + l, comps[m].diff(l))
+               for m in range(N) for l in range(N)]
+        parts = [
+            ("step", _step(comps), None),
+            _block("rhs", N, list(enumerate(comps)), (N,)),
+            _block("h_of", N, list(enumerate(ff.h_poly)), (n,)),
+            _block("H_of", N, [(0, ff.H_poly)], ()),
+            _block("jac_block", N, [(k, d) for k, d in jac if not d.is_zero],
+                   (N, N)),
+        ]
+        # one compile and one namespace per callable: the parser's peak
+        # memory stays that of the largest, and each block has its own INDEX
+        for name, source, index in parts:
+            ns = {"np": np, "math": math, "_power": _power, "INDEX": index}
+            exec(compile(source, f"<flow:{model.spec_string}>", "exec"), ns)
+            setattr(self, name, ns[name])
 
 
 def compiled_flow(model):
@@ -228,13 +222,6 @@ def rk4_step(cf, y, dt, M=None):
     return states[0], Ms[0]
 
 
-def flow_rhs(model, cov):
-    """Time derivative of (x, p) at a covector (floats)."""
-    cf = compiled_flow(model)
-    y = np.array([float(v) for v in cov.xp()])
-    return cf.rhs(y)
-
-
 class Trajectory:
     """Sampled integral curve of the Hamiltonian field, with optional M(t)."""
 
@@ -264,7 +251,7 @@ class Trajectory:
 
     def _values(self, f):
         if f not in self._series:
-            self._series[f] = np.array([f(y) for y in self.ys])
+            self._series[f] = f(self.ys)
             self._series[f].flags.writeable = False
         return self._series[f]
 

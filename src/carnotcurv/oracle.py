@@ -453,7 +453,7 @@ def _shoot(model, x, p0, target, t):
     for _ in range(_NEWTON_MAX_ITER):
         r = traj.ys[-1][:n] - target
         if np.max(np.abs(r)) <= SHOOT_TOL:
-            return float(cf.H_of(np.concatenate([x, p])))
+            return float(cf.H_of(np.concatenate([x, p])[None])[0])
         if traj.Ms is None:
             traj = flow(p, with_variational=True)
         Jac = traj.Ms[-1][:n, n:]

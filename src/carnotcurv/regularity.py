@@ -166,7 +166,7 @@ def equiregularity_loss_times(model, cov, T, step=1e-3):
         """Pole coordinate at ts[i] + dt via one local RK4 step."""
         if dt == 0.0:
             return s[i]
-        return cf.h_of(rk4_step(cf, traj.ys[i], dt)[0])[col]
+        return cf.h_of(np.array([rk4_step(cf, traj.ys[i], dt)[0]]))[0, col]
 
     # a pole within ZERO_TOL at either end of the scan is a zero at that
     # end, and a sign change in the step next to it is that same zero

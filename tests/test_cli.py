@@ -1,10 +1,14 @@
 """Command-line surface: subcommands, exit codes, determinism."""
+import contextlib
 import hashlib
+import io
 import json
 import math
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from carnotcurv import cli
 from carnotcurv import hamiltonian
@@ -150,7 +154,8 @@ class TestGeodesic:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_each_sample_evaluated_once(self, capsys, monkeypatch, fmt):
         # the drift check, the CSV columns, E and H_drift share one h and
-        # one H series; the writer once evaluated each of them twice
+        # one H series, each one call over the stored samples; the writer
+        # once evaluated each of them twice, and each call was one sample
         cf = hamiltonian.compiled_flow(build_group("goursat:4"))
         calls = {"h_of": 0, "H_of": 0}
 
@@ -173,7 +178,8 @@ class TestGeodesic:
             assert len(out.splitlines()) == samples + 2
         else:
             assert len(json.loads(out)["t"]) == samples
-        assert calls == {"h_of": samples, "H_of": samples}
+        # each series is one block call over all samples
+        assert calls == {"h_of": 1, "H_of": 1}
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "geodesic", "--group", "goursat:3",
@@ -384,6 +390,68 @@ class TestCurvature:
         assert out == ""
         assert err.splitlines() == [
             "error: total degree above 255 does not fit a packed monomial"]
+
+    @pytest.mark.parametrize("covector", ["1/0,0,1", "0/0,0,1"])
+    def test_zero_denominator_exit_2(self, capsys, covector):
+        # Fraction's ZeroDivisionError once escaped as a traceback (exit 1)
+        code, out, err = run(capsys, "curvature", "--group", "goursat:3",
+                             "--covector", covector)
+        assert (code, out) == (2, "")
+        tok = covector.split(",")[0]
+        assert err.splitlines() == [
+            f"error: cannot parse covector component {tok!r}"]
+
+    def test_exact_2h_beyond_float_range_exit_4(self, capsys):
+        # 2H = 1e400 exactly; its message once overflowed float()
+        code, out, err = run(capsys, "curvature", "--group", "goursat:4",
+                             "--covector=1e200,0,1,0")
+        assert (code, out) == (4, "")
+        assert err.splitlines() == [
+            "error: curvature is defined for unit-speed covectors; 2H = inf"]
+
+
+# covector components the curvature fuzz draws from: valid exact and float
+# values, a zero denominator, values at and past the float range, non-finite
+# and empty tokens
+COVECTOR_TOKENS = (st.sampled_from(
+    ["0", "1", "-1", "2", "1/2", "3/5", "4/5", "0.6", "-0.8", "1/0", "0/0",
+     "1e308", "-1e308", "1e-400", "nan", "inf", "-inf", ""])
+    | st.integers(10 ** 399, 10 ** 400 - 1).map(str))
+
+
+@settings(max_examples=150, deadline=None)
+@given(group=st.sampled_from(["goursat:3", "goursat:4", "cartan"]),
+       tokens=st.lists(COVECTOR_TOKENS, max_size=7))
+@example(group="goursat:3", tokens=["1/0", "0", "1"])
+@example(group="goursat:4", tokens=["1e200", "0", "1", "0"])
+def test_curvature_covector_fuzz(group, tokens):
+    # any covector text: a documented exit code and at most one line on
+    # stderr; an exception escaping main fails the test
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["curvature", "--group", group,
+                         "--covector=" + ",".join(tokens)])
+    assert code in (0, 2, 4, 5), (code, err.getvalue())
+    assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["geodesic", "classify", "curvature"])
+@pytest.mark.parametrize("group, message", [
+    ("goursat:30", "covector needs 30 components for goursat:30, got 1"),
+    ("goursat:999999",
+     "total degree above 255 does not fit a packed monomial")],
+    ids=["wrong-length", "past-degree-limit"])
+def test_bad_input_refused_before_the_build(capsys, monkeypatch, command,
+                                            group, message):
+    # building goursat:30 takes seconds, and goursat:999999 once allocated
+    # its frame table before the degree limit stopped it
+    def no_build(spec):
+        raise AssertionError(f"build_group({spec!r}) was called")
+
+    monkeypatch.setattr(cli, "build_group", no_build)
+    code, out, err = run(capsys, command, "--group", group, "--covector", "1")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {message}"]
 
 
 class TestVerify:

@@ -32,8 +32,9 @@ class TestCoefficients:
     def test_r_coefficient_consistency(self):
         # 3 Omega(n-1, n-1) = 3(n-1)/(4(n-1)^2 - 1), = 2/5 at n = 3
         for n in range(3, 13):
-            assert 3 * cv.omega(n - 1, n - 1) == cv.goursat_r_coefficient(n)
-        assert cv.goursat_r_coefficient(3) == Fraction(2, 5)
+            assert 3 * cv.omega(n - 1, n - 1) == Fraction(
+                3 * (n - 1), 4 * (n - 1) ** 2 - 1)
+        assert 3 * cv.omega(2, 2) == Fraction(2, 5)
         assert 3 * cv.omega(4, 4) == Fraction(4, 21)
 
 
@@ -160,18 +161,6 @@ class TestCurvatureOperator:
         with pytest.raises(SingularCovector):
             cv.curvature_operator(models["cartan"],
                                   Covector.from_h(models["cartan"], (1, 0, 0, 1, 0)))
-
-
-class TestSflatModel:
-    def test_engel_example(self):
-        m = cv.sflat_model((3, 1), -4, 0.1)
-        assert abs(m[0][0] - (-90 + (-4) * (3 / 35) * 0.1)) < 1e-12
-        assert m[1][1] == -1 / 0.1
-        assert m[0][1] == 0.0 and m[1][0] == 0.0
-
-    def test_t_zero_rejected(self):
-        with pytest.raises(ValueError):
-            cv.sflat_model((3, 1), -4, 0.0)
 
 
 class TestFlowCovariance:

@@ -1,12 +1,13 @@
 """CompiledFlow against the reference numpy-scalar generator, bit for bit.
 
-The generated code must reproduce the reference values exactly: the same
-terms in the same order, each power through the same C pow, and every
-structurally nonzero Jacobian entry in place, for one state and for a
-stack of states in jac_block.  An overflowing power gives NaN outputs
-instead of an OverflowError.  integrate_flow steps the state and then the
-variational matrix a chunk of CHUNK steps at a time, and its samples must
-not depend on where the chunks end.
+The generated blocks rhs, h_of, H_of and jac_block map a stack of states
+to a stack of values, and each row must reproduce the reference value at
+that state exactly: the same terms in the same order, each power through
+the same C pow, and every structurally nonzero Jacobian entry in place.  An
+overflowing power gives a row of NaN outputs instead of an OverflowError.
+integrate_flow steps the state and then the variational matrix a chunk of
+CHUNK steps at a time, and its samples must not depend on where the chunks
+end.
 """
 import functools
 import math
@@ -59,11 +60,15 @@ def same(a, b):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_functions_match_reference(spec, data):
+    # every row of a block is the reference function at that row
     model, cf, ref = flows(spec)
-    y = data.draw(states(model))
-    for name in ("rhs", "jac", "h_of", "H_of"):
-        got, want = getattr(cf, name)(y), getattr(ref, name)(y)
-        assert same(got, want), (name, y.tolist())
+    Y = np.array(data.draw(st.lists(states(model), min_size=1, max_size=9)))
+    for name, ref_name in (("rhs", "rhs"), ("jac_block", "jac"),
+                           ("h_of", "h_of"), ("H_of", "H_of")):
+        got = getattr(cf, name)(Y)
+        assert len(got) == len(Y), name
+        for row, y in zip(got, Y):
+            assert same(row, getattr(ref, ref_name)(y)), (name, y.tolist())
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -198,17 +203,18 @@ class TestOverflow:
         return model, Covector.from_h(model, (1e200, 1.0, 0.0, 0.0))
 
     def test_overflowing_power_gives_nan_outputs(self):
-        # x1 = 1e200: x1**2 occurs in all four functions and overflows
+        # x1 = 1e200: x1**2 occurs in all four blocks and overflows
         cf = compiled_flow(build_group("goursat:4"))
-        y = np.zeros(8)
-        y[0] = 1e200
+        y = np.zeros((1, 8))
+        y[0, 0] = 1e200
         for name, shape in (("rhs", (8,)), ("h_of", (4,)), ("H_of", ())):
-            out = np.asarray(getattr(cf, name)(y))
+            out = np.asarray(getattr(cf, name)(y)[0])
             assert out.shape == shape and np.isnan(out).all(), name
         # the structural zeros of the Jacobian stay 0, every other entry NaN
-        J = cf.jac(y)
+        J = cf.jac_block(y)[0]
         assert J.shape == (8, 8)
-        assert np.array_equal(np.isnan(J), cf.jac(np.ones(8)) != 0)
+        structure = cf.jac_block(np.ones((1, 8)))[0] != 0
+        assert np.array_equal(np.isnan(J), structure)
 
     def test_unbounded_run_ends_in_nan(self):
         model, cov = self.cov()

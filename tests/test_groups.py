@@ -5,13 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from carnotcurv.errors import SingularFrame, UnsupportedGroup
+from carnotcurv.errors import DegreeOverflow, SingularFrame, UnsupportedGroup
 from carnotcurv.frames import frame_fields, h_frame
 from carnotcurv.groups import (Covector, build_group, cartan_h_from_chart,
                                engel_h_from_chart, fiber_transform,
                                parse_group_spec, validate_realization,
                                _cartan_a_base, _CARTAN_STRUCTURE)
 from carnotcurv.regularity import growth_vector_closed_form
+from carnotcurv.symfields import Poly
 
 
 class TestBuild:
@@ -22,6 +23,24 @@ class TestBuild:
         for bad in ("goursat:2", "goursat:x", "goursat", "heisenberg", ""):
             with pytest.raises(UnsupportedGroup):
                 parse_group_spec(bad)
+
+    def test_spec_past_degree_limit(self):
+        # goursat:n's frame has an x^(n-2) term; the kernel's cap is 255
+        assert parse_group_spec("goursat:257") == ("goursat", 257)
+        for spec in ("goursat:258", "goursat:999999"):
+            with pytest.raises(DegreeOverflow):
+                parse_group_spec(spec)
+
+    def test_degree_overflow_before_the_frame_table(self, monkeypatch):
+        # goursat:300 once allocated its 300 x 300 table of zero polys
+        # (90,000 Poly.zero calls) before x^298 overflowed
+        calls = []
+        zero = Poly.zero
+        monkeypatch.setattr(Poly, "zero", classmethod(
+            lambda cls, n: calls.append(n) or zero(n)))
+        with pytest.raises(DegreeOverflow):
+            build_group("goursat:300")
+        assert len(calls) < 100
 
     def test_heisenberg_engel_cartan_shapes(self, models):
         g3, g4, cc = models["goursat:3"], models["goursat:4"], models["cartan"]
