@@ -11,6 +11,8 @@ from carnotcurv.groups import Covector, build_group
 from carnotcurv import curvature as cv
 from carnotcurv import oracle as oc
 from carnotcurv.tolerances import FIT_B_ZERO_TOL
+import reference_fit
+from reference_fit import reference_probe_directions, reference_sflat_fit
 
 
 class TestCanonicalETop:
@@ -281,6 +283,69 @@ class TestSflatFit:
         monkeypatch.setattr(oc, "sflat_fit", off_zero)
         rows = oc.run_fit_suite(g3, count=1)
         assert [r.passed for r in rows] == [True, True, True, False, False]
+
+
+def assert_same_fit(got, want):
+    for k in ("lead_a", "lead_b", "lin_a", "lin_b", "offdiag_max"):
+        assert getattr(got, k).hex() == getattr(want, k).hex(), k
+    assert got.dropped == want.dropped
+    assert got.used_ts.tobytes() == want.used_ts.tobytes()
+
+
+class TestFitReference:
+    """The fit and the probe directions against the earlier code, bit for bit."""
+
+    @pytest.mark.parametrize("spec", ["goursat:3", "goursat:4", "goursat:5",
+                                      "goursat:6", "cartan"])
+    def test_fit_and_probe_directions(self, models, spec):
+        m = models[spec]
+        rng = np.random.default_rng(16)
+        for _ in range(3):
+            cov = oc.random_unit_covector(m, rng, pole_min=0.45)
+            assert_same_fit(oc.sflat_fit(m, cov), reference_sflat_fit(m, cov))
+            got = oc._frame_at(m, cov.as_float())[1][:, :m.dim]
+            for g, w in zip(got, reference_probe_directions(m, cov)):
+                assert g.tobytes() == w.tobytes()
+
+    def test_dropped_points(self, models, monkeypatch):
+        # a lower condition bound drops some grid points on this covector
+        m = models["cartan"]
+        cov = oc.random_unit_covector(m, np.random.default_rng(1),
+                                      pole_min=0.45)
+        monkeypatch.setattr(oc, "FIT_COND_MAX", 5e5)
+        monkeypatch.setattr(reference_fit, "FIT_COND_MAX", 5e5)
+        fit = oc.sflat_fit(m, cov)
+        assert 0 < fit.dropped
+        assert_same_fit(fit, reference_sflat_fit(m, cov))
+
+
+class TestExactSuite:
+    def test_condition_rows(self, models, monkeypatch):
+        g5 = models["goursat:5"]
+        names = ("goursat:5 top-frame conditions",
+                 "goursat:5 a_ij(i=2) vs brackets")
+
+        def picked(rows):
+            return [r.to_dict() for r in rows if r.name in names]
+
+        assert picked(oc.run_exact_suite(g5, count=0)) == [
+            {"name": names[0], "mode": "exact", "expected": "verified",
+             "actual": "verified", "pass": True},
+            {"name": names[1], "mode": "exact", "expected": "equal",
+             "actual": "equal", "pass": True}]
+
+        def fails(message):
+            def check(*args):
+                raise LemmaConditionFailed(message)
+            return check
+
+        monkeypatch.setattr(oc, "canonical_E_top", fails("not vertical"))
+        monkeypatch.setattr(oc, "aij_coefficients", fails("disagrees"))
+        assert picked(oc.run_exact_suite(g5, count=0)) == [
+            {"name": names[0], "mode": "exact", "expected": "verified",
+             "actual": "not vertical", "pass": False},
+            {"name": names[1], "mode": "exact", "expected": "equal",
+             "actual": "disagrees", "pass": False}]
 
 
 class TestDerivativePullback:

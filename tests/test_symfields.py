@@ -1,7 +1,10 @@
 """Exact algebra kernel: polynomials, rational functions, fields, brackets."""
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carnotcurv.errors import CarnotError, DegreeOverflow, DimensionMismatch
 from carnotcurv.frames import frame_fields, h_frame, verify_bracket_identities
@@ -202,6 +205,37 @@ class TestFields:
         for m in models.values():
             ff = frame_fields(m)
             assert sigma_pair_fields(ff.euler, ff.hvec) == ff.H * 2
+
+
+# entries of size up to 1e150: every product, and every sum of up to 2n = 8
+# of them, stays finite
+SIGMA_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1e150, -1e150]),
+                        st.floats(-1e150, 1e150))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_sigma_pair_on_stacks_matches_scalar(data):
+    # sigma_pair(B, W.T[:, :, None]) pairs every column of B with every row
+    # of W, one term at a time in the scalar order
+    n = data.draw(st.integers(1, 4))
+    cols = data.draw(st.integers(1, 4))
+    rows = data.draw(st.integers(1, 4))
+
+    def stack(shape):
+        size = shape[0] * shape[1]
+        entries = data.draw(st.lists(SIGMA_ENTRY, min_size=size,
+                                     max_size=size))
+        return np.array(entries, dtype=float).reshape(shape)
+
+    B = stack((2 * n, cols))
+    W = stack((rows, 2 * n))
+    got = sigma_pair(B, W.T[:, :, None])
+    assert got.shape == (rows, cols)
+    for r in range(rows):
+        for c in range(cols):
+            want = sigma_pair(list(B[:, c]), list(W[r]))
+            assert float(got[r, c]).hex() == float(want).hex()
 
 
 class TestBracketIdentities:
