@@ -160,14 +160,15 @@ def classify_pendulum(model, cov, tol=STRATUM_TOL):
             "pendulum classification is defined for the Engel group "
             "(goursat:4) and the Cartan group")
     h = [float(v) for v in cov.h]
-    theta, c, alpha, E = cov.theta, h[2], cov.alpha, model.energy(h)
+    coords = model.chart_from_h(h)
+    theta, c, alpha, E = coords[0], coords[1], coords[2], model.energy(h)
     if model.kind == "goursat":
         offset = 0.0 if alpha >= 0 else math.pi
         beta = None
         sign = "+" if alpha > 0 else ("-" if alpha < 0 else None)
         alpha = abs(alpha)
     else:
-        beta = cov.beta if alpha > 0 else 0.0
+        beta = coords[3] if alpha > 0 else 0.0
         offset = beta
         sign = None
 

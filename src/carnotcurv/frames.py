@@ -268,17 +268,11 @@ class HFrame:
         out = RatVecField.zero(2 * self.n)
 
         def compose(r):
+            # the pole (h1 or h3 of h_poly) is never constant
             num = r.num.eval(hp)
             if isinstance(num, (int, Fraction)):
                 num = Poly.const(2 * self.n, num)
-            dens = []
-            for f, e in r.den:
-                fp = f.eval(hp)
-                if isinstance(fp, (int, Fraction)):
-                    num = num * (Fraction(1) / Fraction(fp) ** e)
-                else:
-                    dens.append((fp, e))
-            return Rat(num, tuple(dens))
+            return Rat(num, tuple((f.eval(hp), e) for f, e in r.den))
 
         for i in range(self.n):
             if not v.a[i].is_zero:

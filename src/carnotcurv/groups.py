@@ -9,7 +9,8 @@ to the printed X3; see README).
 
 Covectors are points of T*R^n in canonical (base, p) coordinates with the
 frame-fiber coordinates h_i = <lambda, X_i> derived through the frame matrix
-A(base), A[i][j] = j-th coordinate of X_{i+1}.
+A(base), A[i][j] = j-th coordinate of X_{i+1}.  At the origin A = I, so
+there h = p.
 """
 from __future__ import annotations
 
@@ -79,7 +80,8 @@ class GroupModel:
       off the pole, at it, and of an abnormal geodesic.
     * w_coefficients(h): the seed field W of the canonical frame.
     * invariant_cols: the 0-based fiber columns the flow conserves.
-    * circle(theta), chart_axes, h_from_chart: the chart convention.
+    * circle(theta), chart_axes, h_from_chart, chart_from_h: the chart
+      convention and its inverse.
     * default_max_order: the bracket order the rank oracle goes up to.
 
     memo(build) holds the objects derived from the model (bracket algebras,
@@ -113,13 +115,15 @@ class GroupModel:
                                + (dim,) if goursat else (2, 3, 4, 4, 5))
         self.growth_abnormal = (2, 3) if goursat else (2, 3, 4)
         self.circle = _goursat_circle if goursat else _cartan_circle
-        self.chart_axes = self.h_from_chart = None
+        self.chart_axes = self.h_from_chart = self.chart_from_h = None
         if self.has_pendulum and goursat:
             self.chart_axes = ("theta", "c", "alpha")
             self.h_from_chart = engel_h_from_chart
+            self.chart_from_h = engel_chart_from_h
         elif self.has_pendulum:
             self.chart_axes = ("theta", "c", "alpha", "beta")
             self.h_from_chart = cartan_h_from_chart
+            self.chart_from_h = cartan_chart_from_h
         self._memo = {}
 
     def energy(self, h):
@@ -294,10 +298,15 @@ def build_group(spec):
         names = ["x", "y", "z", "v", "w"]
         strata = [2, 1, 2]
     # proved here as a polynomial identity, A A^-1 = I holds at every base
-    # point, so fiber_transform evaluates both matrices without a check
+    # point, so fiber_transform evaluates both matrices without a check;
+    # A(0) = I, so a covector at the origin has p = h (Covector.from_h)
     ainv = _unitriangular_inverse(a)
     if _mat_mul(a, ainv) != _mat_identity(n, n):
         raise SingularFrame("frame matrix inverse check failed")
+    origin = (0,) * n
+    if [[f.eval(origin) for f in row] for row in a] != [
+            [int(i == j) for j in range(n)] for i in range(n)]:
+        raise SingularFrame("frame matrix is not the identity at the origin")
     model = GroupModel(kind, n, strata, names, a, ainv, structure, key)
     _MODEL_CACHE[key] = model
     return model
@@ -331,18 +340,21 @@ class Covector:
     """Point of T*R^n with canonical (base, p) and derived h coordinates.
 
     Exact mode (all entries int/Fraction) keeps every derived quantity in
-    exact rationals; float mode uses machine floats.  Instances are
-    immutable value objects.
+    exact rationals; float mode uses machine floats.  h is p at the origin
+    (from_h, and as_float of an origin covector) and A(base) p elsewhere,
+    through fiber_transform on first use.  Instances are immutable value
+    objects.
     """
 
-    __slots__ = ("model", "base", "p", "_h")
+    __slots__ = ("model", "base", "p", "exact", "_h")
 
     def __init__(self, model, base, p):
         base = tuple(base)
         p = tuple(p)
         if len(base) != model.dim or len(p) != model.dim:
             raise SingularFrame(f"covector needs {model.dim} base and p entries")
-        if is_exact_seq(base) and is_exact_seq(p):
+        exact = is_exact_seq(base) and is_exact_seq(p)
+        if exact:
             base = tuple(Fraction(v) for v in base)
             p = tuple(Fraction(v) for v in p)
         else:
@@ -351,28 +363,27 @@ class Covector:
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "_h", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Covector is immutable")
 
     @classmethod
-    def from_h(cls, model, h, base=None):
-        """Build from frame-fiber coordinates h at a base point (origin default)."""
-        if base is None:
-            base = (0,) * model.dim
-        _, ainv = fiber_transform(model, base)
+    def from_h(cls, model, h):
+        """Build at the origin from frame-fiber coordinates h, where p = h.
+
+        Float entries are stored as 0.0 + v, so -0.0 becomes 0.0; a
+        non-finite entry stays in its slot.
+        """
         h = tuple(h)
         if len(h) != model.dim:
             raise SingularFrame(f"h must have {model.dim} entries")
-        if is_exact_seq(base) and is_exact_seq(h):
-            h = tuple(Fraction(v) for v in h)
-        p = _mat_apply(ainv, h)
-        return cls(model, base, p)
-
-    @property
-    def exact(self):
-        return isinstance(self.p[0], Fraction)
+        if not is_exact_seq(h):
+            h = tuple(0.0 + float(v) for v in h)
+        cov = cls(model, (0,) * model.dim, h)
+        object.__setattr__(cov, "_h", cov.p)
+        return cov
 
     @property
     def h(self):
@@ -392,6 +403,8 @@ class Covector:
     def as_float(self):
         if not self.exact:
             return self
+        if not any(self.base):
+            return Covector.from_h(self.model, map(float, self.p))
         return Covector(self.model, tuple(map(float, self.base)),
                         tuple(map(float, self.p)))
 
@@ -399,36 +412,6 @@ class Covector:
         if self.exact:
             return 2 * self.H == 1
         return abs(2 * self.H - 1) <= UNIT_SPEED_TOL
-
-    # -- chart views (floats; h-components stay primary) -----------------
-    @property
-    def theta(self):
-        h = self.h
-        if self.model.kind == "goursat":
-            # h1 = rho*cos(theta + pi/2), h2 = rho*sin(theta + pi/2)
-            return math.atan2(-float(h[0]), float(h[1]))
-        return math.atan2(float(h[1]), float(h[0]))
-
-    @property
-    def c(self):
-        return float(self.h[2])
-
-    @property
-    def alpha(self):
-        h = self.h
-        if self.model.kind == "goursat":
-            if self.model.dim < 4:
-                return 0.0
-            return float(h[3])
-        return math.hypot(float(h[3]), float(h[4]))
-
-    @property
-    def beta(self):
-        if self.model.kind != "cartan":
-            return None
-        h = self.h
-        # h4 = alpha sin(beta), h5 = -alpha cos(beta)
-        return math.atan2(float(h[3]), -float(h[4]))
 
     def __repr__(self):
         return (f"Covector({self.model.spec_string}, base={self.base}, "
@@ -452,3 +435,15 @@ def cartan_h_from_chart(theta, c, alpha, beta):
     """h-components for the Cartan chart (theta, c, alpha, beta) on {H = 1/2}."""
     return _cartan_circle(theta) + (c, alpha * math.sin(beta),
                                     -alpha * math.cos(beta))
+
+
+def engel_chart_from_h(h):
+    """The Engel chart (theta, c, alpha) of float h-components."""
+    return math.atan2(-h[0], h[1]), h[2], h[3]
+
+
+def cartan_chart_from_h(h):
+    """The Cartan chart (theta, c, alpha, beta) of float h-components, with
+    alpha >= 0; beta is defined where alpha > 0."""
+    return (math.atan2(h[1], h[0]), h[2], math.hypot(h[3], h[4]),
+            math.atan2(h[3], -h[4]))

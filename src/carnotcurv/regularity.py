@@ -122,17 +122,14 @@ def growth_vector_rank_oracle(model, cov):
     return tuple(growth)
 
 
-def rank_oracle_matches(model, cov, t=0.0):
+def rank_oracle_matches(model, cov):
     """True when the rank oracle reproduces the closed-form classification.
 
-    Both routes are evaluated at the same (flowed) covector, and the closed
-    form uses the same zero threshold the rank oracle uses, so the two test
-    the same discrete claim.
+    Both routes are evaluated at the same covector, and the closed form
+    uses the same zero threshold the rank oracle uses, so the two test the
+    same discrete claim.
     """
     cov = cov.as_float()
-    if t:
-        traj = integrate_flow(model, cov, t, drift_bound=SCAN_DRIFT_TOL)
-        cov = traj.covector(len(traj) - 1)
     entry = growth_vector_closed_form(model, cov, tol=RANK_TOL)
     seq = growth_vector_rank_oracle(model, cov)
     if entry.ample:

@@ -23,6 +23,7 @@ from carnotcurv.frames import frame_fields
 from carnotcurv.groups import Covector, build_group
 from carnotcurv.hamiltonian import (CHUNK, compiled_flow, integrate_flow,
                                     step_count)
+from reference_covector import covector_at
 from reference_flow import ReferenceFlow, reference_rk4_step
 
 SPECS = ("goursat:3", "goursat:4", "goursat:5", "goursat:6", "goursat:7",
@@ -46,7 +47,7 @@ def states(draw, model):
     h = draw(st.lists(UNIT, min_size=n, max_size=n))
     base = draw(st.lists(UNIT, min_size=n, max_size=n))
     scale = draw(st.floats(0.3, 3.0))
-    cov = Covector.from_h(model, [scale * v for v in h], base=base)
+    cov = covector_at(model, [scale * v for v in h], base)
     return np.array([float(v) for v in cov.xp()])
 
 
@@ -75,7 +76,7 @@ def test_functions_match_reference(spec, data):
 def test_variational_run_matches_reference_loop(spec):
     model, _, ref = flows(spec)
     n = model.dim
-    cov = Covector.from_h(model, H0[:n], base=BASE[:n])
+    cov = covector_at(model, H0[:n], BASE[:n])
     traj = integrate_flow(model, cov, 0.3, 1e-3, with_variational=True)
     assert len(traj) == 301
     y = np.array([float(v) for v in cov.xp()])
@@ -177,7 +178,7 @@ def test_chunked_run_matches_reference_loop(spec, sign, variational,
     # one, and samples on both sides of each chunk boundary
     model, _, ref = flows(spec)
     n = model.dim
-    cov = Covector.from_h(model, H0[:n], base=BASE[:n])
+    cov = covector_at(model, H0[:n], BASE[:n])
     nsteps = 2 * CHUNK + 37
     T, step = sign * nsteps * 1e-3, 1e-3
     assert step_count(T, step) == nsteps

@@ -1,18 +1,30 @@
 """Group models: realizations, structure validation, covectors."""
+import argparse
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from carnotcurv.errors import DegreeOverflow, SingularFrame, UnsupportedGroup
+from carnotcurv import cli
+from carnotcurv import groups as groups_mod
+from carnotcurv.elliptic import classify_pendulum
+from carnotcurv.errors import (DegreeOverflow, SingularFrame, StepTooLarge,
+                               UnsupportedGroup)
 from carnotcurv.frames import frame_fields, h_frame
 from carnotcurv.groups import (Covector, build_group, cartan_h_from_chart,
                                engel_h_from_chart, fiber_transform,
                                parse_group_spec, validate_realization,
                                _cartan_a_base, _CARTAN_STRUCTURE)
+from carnotcurv.hamiltonian import integrate_flow
+from carnotcurv.oracle import random_rational_unit_covector, random_unit_covector
 from carnotcurv.regularity import growth_vector_closed_form
 from carnotcurv.symfields import Poly
+from reference_covector import covector_at
+
+SPECS = tuple(f"goursat:{n}" for n in range(3, 9)) + ("cartan",)
 
 
 class TestBuild:
@@ -69,7 +81,6 @@ class TestBuild:
         assert validate_realization(_cartan_a_base(1, -1), _CARTAN_STRUCTURE) == []
 
     def test_realization_mismatch_when_no_repair_exists(self, monkeypatch):
-        from carnotcurv import groups as groups_mod
         from carnotcurv.errors import RealizationMismatch
         monkeypatch.setattr(groups_mod, "_CARTAN_SIGN_CANDIDATES", ((1, 1),))
         monkeypatch.delitem(groups_mod._MODEL_CACHE, "cartan", raising=False)
@@ -84,7 +95,6 @@ class TestBuild:
     def test_corrupt_inverse_fails_at_build(self, monkeypatch):
         # A A^-1 = I is proved once per model, so fiber_transform can skip
         # the per-call check; a wrong inverse must stop build_group instead
-        from carnotcurv import groups as groups_mod
         real = groups_mod._unitriangular_inverse
 
         def corrupted(a):
@@ -95,6 +105,25 @@ class TestBuild:
         monkeypatch.delitem(groups_mod._MODEL_CACHE, "goursat:4", raising=False)
         try:
             with pytest.raises(SingularFrame):
+                groups_mod.build_group("goursat:4")
+        finally:
+            monkeypatch.undo()
+            groups_mod._MODEL_CACHE.pop("goursat:4", None)
+            groups_mod.build_group("goursat:4")   # restore the cached model
+
+    def test_frame_off_identity_at_origin_fails_at_build(self, monkeypatch):
+        # X1 = d/dx + d/dy0 brackets like d/dx and has a unitriangular
+        # frame matrix, but A(0) != I; from_h's p = h rests on A(0) = I
+        real = groups_mod._goursat_a_base
+
+        def shifted(n):
+            a = real(n)
+            a[0][1] = a[0][1] + 1
+            return a
+        monkeypatch.setattr(groups_mod, "_goursat_a_base", shifted)
+        monkeypatch.delitem(groups_mod._MODEL_CACHE, "goursat:4", raising=False)
+        try:
+            with pytest.raises(SingularFrame, match="identity at the origin"):
                 groups_mod.build_group("goursat:4")
         finally:
             monkeypatch.undo()
@@ -144,24 +173,28 @@ class TestFiberTransform:
             fiber_transform(models["goursat:3"], (0, 0))
 
 
+RATIONALS = st.fractions(-3, 3, max_denominator=12)
+
+
 class TestCovector:
-    def test_round_trip_exact(self, models):
-        m = models["goursat:5"]
-        h = (Fraction(3, 5), Fraction(4, 5), Fraction(1, 7), 2, Fraction(-1, 3))
-        base = (Fraction(1, 2), 1, 0, Fraction(2, 9), 3)
-        cov = Covector.from_h(m, h, base=base)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_exact(self, data):
+        # h -> p at a rational base point and back through the lazy h
+        m = build_group(data.draw(st.sampled_from(SPECS)))
+        h = tuple(data.draw(st.lists(RATIONALS, min_size=m.dim, max_size=m.dim)))
+        base = data.draw(st.lists(RATIONALS, min_size=m.dim, max_size=m.dim))
+        cov = covector_at(m, h, base)
         assert cov.exact
         assert cov.h == h
-        # p -> h -> p round trip through the inverse transform
-        cov2 = Covector.from_h(m, cov.h, base=base)
-        assert cov2.p == cov.p
+        assert covector_at(m, cov.h, base).p == cov.p
 
     def test_round_trip_float(self, models, rng):
         m = models["cartan"]
         for _ in range(20):
             h = rng.uniform(-2, 2, 5)
             base = rng.uniform(-1, 1, 5)
-            cov = Covector.from_h(m, [float(v) for v in h], base=[float(v) for v in base])
+            cov = covector_at(m, [float(v) for v in h], [float(v) for v in base])
             assert not cov.exact
             assert np.allclose(cov.h, h, rtol=1e-12, atol=1e-12)
 
@@ -176,6 +209,8 @@ class TestCovector:
         cov = Covector.from_h(models["goursat:3"], (1, 0, 0))
         with pytest.raises(AttributeError):
             cov.p = (0, 0, 0)
+        with pytest.raises(AttributeError):
+            cov.exact = False
 
     def test_from_p_matches_from_h_at_origin(self, models):
         m = models["goursat:4"]
@@ -183,20 +218,74 @@ class TestCovector:
         b = Covector.from_h(m, (1, 0, 1, 2))
         assert a.h == b.h and a.p == b.p
 
+    def test_origin_covectors_make_no_frame_matrices(self, monkeypatch):
+        # A(0) = I is proved at build time, so a covector built at the
+        # origin has p = h, exact or float, and as_float keeps it there
+        calls = []
+        real = groups_mod.fiber_transform
+        monkeypatch.setattr(groups_mod, "fiber_transform",
+                            lambda *args: calls.append(args) or real(*args))
+        rng = np.random.default_rng(3)
+        for spec in SPECS:
+            m = build_group(spec)
+            for cov in (random_rational_unit_covector(m, rng),
+                        random_unit_covector(m, rng)):
+                assert cov.h == cov.p
+                f = cov.as_float()
+                assert not f.exact and f.h == f.p == tuple(map(float, cov.p))
+        args = argparse.Namespace(group="goursat:8",
+                                  covector="3/5,4/5,1,-2,1/3,0,1,1")
+        model, cov = cli._model_and_covector(args)
+        f = cov.as_float()
+        assert cov.exact and cov.h == cov.p and f.h == f.p
+        assert calls == []
+        # off the origin h still goes through the frame matrix
+        assert Covector(model, (1,) * 8, cov.p).h != cov.h
+        assert len(calls) == 1
+
+    def test_signed_zero_normalised_at_the_origin(self):
+        # -0.0 is stored as 0.0, as the identity product once gave: the
+        # chart angle of h1 = 0.0 is atan2(-0.0, 1.0) = -0.0, and the flow
+        # starts from +0.0
+        m = build_group("goursat:4")
+        h = engel_h_from_chart(0, 1, 0.5)
+        assert math.copysign(1.0, h[0]) == -1.0
+        cov = Covector.from_h(m, h)
+        assert math.copysign(1.0, cov.h[0]) == 1.0
+        assert math.copysign(1.0, cov.p[0]) == 1.0
+        chart = classify_pendulum(m, cov)
+        assert chart.theta0 == 0.0 and math.copysign(1.0, chart.theta0) == -1.0
+        ys = integrate_flow(m, cov, 0.01, 1e-3).ys
+        assert all(math.copysign(1.0, v) == 1.0 for v in ys[0])
+
+    def test_infinite_h_entry_stays_in_its_slot(self):
+        # no identity product at the origin, so 0 * inf spreads no NaN; the
+        # flow still refuses the covector
+        m = build_group("goursat:4")
+        for h in ((math.inf, 1.0, 0.0, 0.0), (1.0, 0.0, -math.inf, 0.0)):
+            cov = Covector.from_h(m, h)
+            assert cov.p == cov.h == h
+            with pytest.raises(StepTooLarge):
+                integrate_flow(m, cov, 1.0, 1e-3)
+
     def test_chart_views(self, models):
         # Goursat convention: h1 = -sin(theta), h2 = cos(theta)
         m = models["goursat:4"]
         th = 0.7
-        cov = Covector.from_h(m, engel_h_from_chart(th, 0.5, -1.2))
-        assert abs(cov.theta - th) < 1e-12
-        assert abs(cov.c - 0.5) < 1e-15
-        assert abs(cov.alpha + 1.2) < 1e-15
+        theta, c, alpha = m.chart_from_h(engel_h_from_chart(th, 0.5, -1.2))
+        assert abs(theta - th) < 1e-12
+        assert abs(c - 0.5) < 1e-15
+        assert abs(alpha + 1.2) < 1e-15
         # Cartan convention: h1 = cos(theta), alpha >= 0 with beta
         cc = models["cartan"]
-        covc = Covector.from_h(cc, cartan_h_from_chart(0.4, 0.9, 1.5, -0.8))
-        assert abs(covc.theta - 0.4) < 1e-12
-        assert abs(covc.alpha - 1.5) < 1e-12
-        assert abs(covc.beta + 0.8) < 1e-12
+        theta, c, alpha, beta = cc.chart_from_h(
+            cartan_h_from_chart(0.4, 0.9, 1.5, -0.8))
+        assert abs(theta - 0.4) < 1e-12
+        assert abs(c - 0.9) < 1e-15
+        assert abs(alpha - 1.5) < 1e-12
+        assert abs(beta + 0.8) < 1e-12
+        # only the pendulum groups have a chart
+        assert models["goursat:5"].chart_from_h is None
 
 
 # the README's seed field of the canonical frame: W = h1^(2 - n_a) d/dh_n

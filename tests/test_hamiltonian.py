@@ -11,6 +11,7 @@ from carnotcurv.groups import Covector, build_group, engel_h_from_chart
 from carnotcurv.hamiltonian import (MAX_STEPS, Trajectory, compiled_flow,
                                     conserved_quantities, integrate_flow,
                                     step_count)
+from reference_covector import covector_at
 from reference_export import export_csv as reference_export
 
 
@@ -92,7 +93,7 @@ class TestFlowRhs:
             for _ in range(200):
                 h = [float(v) for v in rng.uniform(-2, 2, m.dim)]
                 base = [float(v) for v in rng.uniform(-1, 1, m.dim)]
-                cov = Covector.from_h(m, h, base=base)
+                cov = covector_at(m, h, base)
                 a = fiber_rhs(m, cov)
                 b = fiber_rhs_via_canonical(m, cov)
                 worst = max(worst, float(np.max(np.abs(a - b))))
