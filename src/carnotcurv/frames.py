@@ -26,12 +26,7 @@ class FrameFields:
 
         a = [[model.a_base[i][j].pad(m) for j in range(n)] for i in range(n)]
         ainv = [[model.a_inv_base[i][j].pad(m) for j in range(n)] for i in range(n)]
-        self.a = a
-        self.a_inv = ainv
         p = [Poly.variable(m, n + j) for j in range(n)]
-        x = [Poly.variable(m, j) for j in range(n)]
-        self._p = p
-        self._x = x
 
         # h_i = sum_j A[i][j] p_j (polynomials in (x, p))
         self.h_poly = []
@@ -58,31 +53,15 @@ class FrameFields:
             c = [zero] * n + [Rat(ainv[j][i]) for j in range(n)]
             self.dh.append(RatVecField(c))
 
-        # horizontal lifts: move the base along X_i keeping every h_j constant;
-        # p-components solve A c = -(D_{X_i} A) p
+        # horizontal lifts X_i - sum_k X_i(h_k) d/dh_k, with X_i the base
+        # field (x-components row i of A): every h_k is constant along them
         self.lift = []
         for i in range(n):
-            da = [[Poly.zero(m) for _ in range(n)] for _ in range(n)]
+            base = RatVecField([Rat(c) for c in a[i]] + [zero] * n)
+            lift = base
             for k in range(n):
-                for j in range(n):
-                    acc = Poly.zero(m)
-                    for mm in range(n):
-                        acc = acc + a[i][mm] * a[k][j].diff(mm)
-                    da[k][j] = acc
-            rhs = []
-            for k in range(n):
-                acc = Poly.zero(m)
-                for j in range(n):
-                    acc = acc + da[k][j] * p[j]
-                rhs.append(acc)
-            pcomps = []
-            for j in range(n):
-                acc = Poly.zero(m)
-                for k in range(n):
-                    acc = acc - ainv[j][k] * rhs[k]
-                pcomps.append(Rat(acc))
-            xcomps = [Rat(a[i][j]) for j in range(n)]
-            self.lift.append(RatVecField(xcomps + pcomps))
+                lift = lift - self.dh[k].smul(base.apply(self.h[k]))
+            self.lift.append(lift)
 
         # Euler field e = sum h_i d/dh_i = sum p_j d/dp_j
         self.euler = RatVecField([zero] * n + [Rat(pj) for pj in p])
@@ -98,18 +77,6 @@ class FrameFields:
         self.w_top = RatVecField.zero(m)
         for k, coef in model.w_coefficients(self.h_poly).items():
             self.w_top = self.w_top + self.dh[k].smul(coef)
-
-    # -- helpers ---------------------------------------------------------
-    def vertical_h_components(self, field):
-        """h-basis coefficients of the vertical part: beta = A * (p-part)."""
-        n = self.n
-        out = []
-        for i in range(n):
-            acc = Rat.zero(self.nvars)
-            for j in range(n):
-                acc = acc + Rat(self.a[i][j]) * field.comps[n + j]
-            out.append(acc)
-        return out
 
 
 def frame_fields(model):

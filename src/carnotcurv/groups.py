@@ -84,8 +84,8 @@ class GroupModel:
       convention and its inverse.
     * default_max_order: the bracket order the rank oracle goes up to.
 
-    memo(build) holds the objects derived from the model (bracket algebras,
-    compiled flow, oracle chains), each built once.
+    memo(build, *args) holds the objects derived from the model (bracket
+    algebras, compiled flow, oracle chains and tables), each built once.
     """
 
     def __init__(self, kind, dim, strata, base_names, a_base, a_inv_base,
@@ -159,11 +159,13 @@ class GroupModel:
             return {self.dim - 1: Rat(one, ((pole, self.young[0] - 2),))}
         return {3: Rat(h[1], ((pole, 1),)), 4: Rat(-h[0], ((pole, 1),))}
 
-    def memo(self, build):
-        """build(self), computed on first use and kept for the model's life."""
-        value = self._memo.get(build)
+    def memo(self, build, *args):
+        """build(self, *args), computed on first use and kept for the
+        model's life; one entry per builder and arguments."""
+        key = (build,) + args
+        value = self._memo.get(key)
         if value is None:
-            value = self._memo[build] = build(self)
+            value = self._memo[key] = build(self, *args)
         return value
 
     # frame fields as base vector fields (n components over n variables)

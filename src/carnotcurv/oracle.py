@@ -29,7 +29,7 @@ from .groups import Covector, fiber_transform
 from .hamiltonian import compiled_flow, integrate_flow
 from .symfields import Poly, Rat, sigma_pair
 from .tolerances import (DRIFT_TOL, FIT_B_ZERO_TOL, FIT_COND_MAX,
-                         FIT_LEAD_TOL, FIT_LIN_TOL, NORM_TOL, PAIRING_TOL,
+                         FIT_LEAD_TOL, FIT_LIN_TOL, PAIRING_TOL,
                          PROBE_BALANCE_TOL, PROBE_REL_TOL, PROBE_UNIT_TOL,
                          SCAN_DRIFT_TOL, SHOOT_TOL)
 from . import curvature as _curv
@@ -51,16 +51,20 @@ _EXACT_NINTHS = 18
 
 
 class OracleFields:
-    """Cached bracket chain ad_H^k(W) for one model, in the h-frame basis."""
+    """Cached bracket chain ad_H^k(W) for one model, in the h-frame basis,
+    with the named E boxes (a1..a n_a, b1) and the F boxes F_a1, F_b1."""
 
     def __init__(self, model):
         self.model = model
-        self.hf = h_frame(model)
-        self.n_a = model.young[0]
-        self.G = self.hf.ad_h_chain(self.hf.w_top, self.n_a + 1)
+        self.hf = hf = h_frame(model)
+        self.n_a = na = model.young[0]
+        self.G = hf.ad_h_chain(hf.w_top, na + 1)
         # sigma(ad^{n_a} W, ad^{n_a - 1} W) as a function; must be 1 on 2H=1
-        self.norm_fun = self.hf.sigma(self.G[self.n_a], self.G[self.n_a - 1])
-        self.r11_fun = self.hf.sigma(self.G[self.n_a + 1], self.G[self.n_a])
+        self.norm_fun = hf.sigma(self.G[na], self.G[na - 1])
+        self.r11_fun = hf.sigma(self.G[na + 1], self.G[na])
+        self.e_boxes = [(f"E_a{i}", self.G[na - i]) for i in range(1, na + 1)]
+        self.e_boxes.append(("E_b1", hf.euler))
+        self.f_boxes = (-self.G[na], hf.hvec)
 
 
 def oracle_fields(model):
@@ -71,6 +75,12 @@ def _require_pole(model, cov):
     if model.has_pole:
         i = model.pole_index
         _curv.check_pole(cov.h[i - 1], cov.exact, f"h{i}")
+
+
+def _agrees(value, want, exact):
+    """value == want at an exact covector, within PAIRING_TOL at a float one."""
+    return (value == want if exact
+            else abs(float(value) - float(want)) < PAIRING_TOL)
 
 
 def canonical_E_top(model, cov):
@@ -87,10 +97,8 @@ def canonical_E_top(model, cov):
         if not of.G[k].is_vertical:
             raise LemmaConditionFailed(
                 f"flow derivative {k} of the top frame field is not vertical")
-    hvals = list(cov.h)
-    norm = of.norm_fun.eval(hvals)
-    ok = (norm == 1) if cov.exact else abs(norm - 1.0) < NORM_TOL
-    if not ok:
+    norm = of.norm_fun.eval(cov.h)
+    if not _agrees(norm, 1, cov.exact):
         raise LemmaConditionFailed(
             f"sigma(E^(n_a), E^(n_a-1)) = {norm} at the covector, expected 1 "
             "(is it unit-speed?)")
@@ -103,8 +111,47 @@ def r11_exact(model, cov):
     Exact rational for exact covectors; must equal the closed form.
     """
     _require_pole(model, cov)
+    return oracle_fields(model).r11_fun.eval(cov.h)
+
+
+def _aij_forms(model, i):
+    """Closed forms of (a_ii, a_{i,i-1}, a_{i,i-2}) as functions of h, and
+    the first disagreement with the bracket chain (None when they agree)."""
     of = oracle_fields(model)
-    return of.r11_fun.eval(list(cov.h))
+    hf = of.hf
+    n, na = model.dim, of.n_a
+
+    def hpow(m):
+        if m >= 0:
+            return Rat(Poly.variable(n, 0) ** m)
+        return Rat(Poly.const(n, 1), ((hf.pole, -m),))
+
+    closed = [hpow(2 - na + i) * ((-1) ** i)]
+    if i >= 1:
+        acc = Rat.zero(n)
+        for k in range(i):
+            acc = acc + hpow(k) * hf.hvec.apply(hpow(2 - na + (i - 1) - k))
+        closed.append(acc * ((-1) ** (i - 1)))
+    if i >= 2:
+        acc = Rat.zero(n)
+        for k in range(i - 1):
+            inner = Rat.zero(n)
+            for l in range(i - 1 - k):
+                inner = inner + hpow(l) * hf.hvec.apply(
+                    hpow(2 - na + (i - 2) - k - l))
+            acc = acc + hpow(k) * hf.hvec.apply(inner)
+        closed.append(acc * ((-1) ** (i - 2)))
+
+    # bracket-chain components: a_{i,j} multiplies d/dh_{n-j}, so the entry
+    # a_{i,i-m} is the component along d/dh_{n-i+m}
+    gi = of.G[i]
+    if not gi.is_vertical:
+        return closed, f"ad^{i} W is not vertical for i <= n-3"
+    for m, want in enumerate(closed):
+        if not gi.b[n - 1 - i + m] == want:
+            return closed, (f"a_({i},{i - m}) closed form disagrees with the "
+                            "bracket chain")
+    return closed, None
 
 
 def aij_coefficients(model, cov, i):
@@ -121,46 +168,10 @@ def aij_coefficients(model, cov, i):
     if not 0 <= i <= n - 3:
         raise IndexOutOfRange(f"need 0 <= i <= n-3 = {n - 3}, got {i}")
     _require_pole(model, cov)
-    of = oracle_fields(model)
-    hf = of.hf
-    na = of.n_a
-    pole = hf.pole
-
-    def hpow(m):
-        if m >= 0:
-            return Rat(Poly.variable(n, 0) ** m)
-        return Rat(Poly.const(n, 1), ((pole, -m),))
-
-    hvec = hf.hvec
-    a_ii = hpow(2 - na + i) * ((-1) ** i)
-    closed = [a_ii]
-    if i >= 1:
-        acc = Rat.zero(n)
-        for k in range(i):
-            acc = acc + hpow(k) * hvec.apply(hpow(2 - na + (i - 1) - k))
-        closed.append(acc * ((-1) ** (i - 1)))
-    if i >= 2:
-        acc = Rat.zero(n)
-        for k in range(i - 1):
-            inner = Rat.zero(n)
-            for l in range(i - 1 - k):
-                inner = inner + hpow(l) * hvec.apply(
-                    hpow(2 - na + (i - 2) - k - l))
-            acc = acc + hpow(k) * hvec.apply(inner)
-        closed.append(acc * ((-1) ** (i - 2)))
-
-    # bracket-chain components: a_{i,j} multiplies d/dh_{n-j}, so the entry
-    # a_{i,i-m} is the component along d/dh_{n-i+m}
-    gi = of.G[i]
-    if not gi.is_vertical:
-        raise LemmaConditionFailed(f"ad^{i} W is not vertical for i <= n-3")
-    for m, want in enumerate(closed):
-        got = gi.b[n - 1 - i + m]
-        if not got == want:
-            raise LemmaConditionFailed(
-                f"a_({i},{i - m}) closed form disagrees with the bracket chain")
-    hvals = list(cov.h)
-    return [c.eval(hvals) for c in closed]
+    closed, failure = model.memo(_aij_forms, i)
+    if failure:
+        raise LemmaConditionFailed(failure)
+    return [c.eval(cov.h) for c in closed]
 
 
 class CheckRow:
@@ -181,13 +192,21 @@ class CheckRow:
                 "pass": self.passed}
 
 
-def _frame_boxes(model):
-    """Named E-box fields (a1..a n_a, b1) and the fields F_a1, F_b1."""
+def _darboux_table(model):
+    """(name, sigma as a function of h, value at unit speed) per pairing:
+    the int 0, or a Fraction on the E-F rows (a float at a float covector)."""
     of = oracle_fields(model)
-    na = of.n_a
-    e_boxes = [(f"E_a{i}", of.G[na - i]) for i in range(1, na + 1)]
-    e_boxes.append(("E_b1", of.hf.euler))
-    return e_boxes, (-of.G[na], of.hf.hvec)
+    sigma = of.hf.sigma
+    rows = []
+    for i, (na_, fa) in enumerate(of.e_boxes):
+        for nb_, fb in of.e_boxes[i + 1:]:
+            rows.append((f"sigma({na_},{nb_})", sigma(fa, fb), 0))
+    for name_e, fe in of.e_boxes:
+        for box, fb in zip(("a1", "b1"), of.f_boxes):
+            rows.append((f"sigma({name_e},F_{box})", sigma(fe, fb),
+                         Fraction(name_e == f"E_{box}")))
+    rows.append(("sigma(F_a1,F_b1)", sigma(*of.f_boxes), 0))
+    return rows
 
 
 def frame_darboux_check(model, cov):
@@ -198,29 +217,14 @@ def frame_darboux_check(model, cov):
     Exact for exact covectors, within PAIRING_TOL for float ones.
     """
     _require_pole(model, cov)
-    hf = h_frame(model)
-    hvals = list(cov.h)
-    e_boxes, (f_a1, f_b1) = _frame_boxes(model)
     mode = "exact" if cov.exact else "float"
     rows = []
-
-    def pair(name, va, vb, want):
-        val = hf.sigma(va, vb).eval(hvals)
-        ok = (val == want) if cov.exact else \
-            abs(float(val) - float(want)) < PAIRING_TOL
-        rows.append(CheckRow(name, mode, want, val, ok))
-
-    for i, (na_, fa) in enumerate(e_boxes):
-        for nb_, fb in e_boxes[i + 1:]:
-            pair(f"sigma({na_},{nb_})", fa, fb, 0)
-    one = Fraction(1) if cov.exact else 1.0
-    zero = Fraction(0) if cov.exact else 0.0
-    for name_e, fe in e_boxes:
-        want = one if name_e == "E_a1" else zero
-        pair(f"sigma({name_e},F_a1)", fe, f_a1, want)
-        want = one if name_e == "E_b1" else zero
-        pair(f"sigma({name_e},F_b1)", fe, f_b1, want)
-    pair("sigma(F_a1,F_b1)", f_a1, f_b1, 0)
+    for name, fun, want in model.memo(_darboux_table):
+        if not cov.exact and isinstance(want, Fraction):
+            want = float(want)
+        val = fun.eval(cov.h)
+        rows.append(CheckRow(name, mode, want, val,
+                             _agrees(val, want, cov.exact)))
     return rows
 
 
@@ -230,15 +234,14 @@ def _frame_at(model, cov):
     Returns two float arrays of canonical (x, p) vectors from one basis_at
     call: E with rows E_a1..E_a n_a, E_b1, and F with rows F_a1, F_b1.
     """
-    hf = h_frame(model)
-    basis = hf.basis_at(cov)
-    e_boxes, f_boxes = _frame_boxes(model)
+    of = oracle_fields(model)
+    basis = of.hf.basis_at(cov)
 
     def rows(fields):
-        return np.array([hf.to_canonical_at(f, cov, basis=basis)
+        return np.array([of.hf.to_canonical_at(f, cov, basis=basis)
                          for f in fields], dtype=float)
 
-    return rows(f for _, f in e_boxes), rows(f_boxes)
+    return rows(f for _, f in of.e_boxes), rows(of.f_boxes)
 
 
 class SflatFit:
@@ -334,44 +337,41 @@ def sflat_fit(model, cov):
                     offdiag_max=offdiag, dropped=dropped, used_ts=ts)
 
 
+def _higher_diagonal(model):
+    """The recursion of higher_diagonal_invariants as functions of h: the
+    R_{aa,ii}, the pairings sigma(E_{a,i+1}, F_{a,i+1}) for i < n_a, and
+    the closure verdict on 2H = 1."""
+    of = oracle_fields(model)
+    hf = of.hf
+    na = of.n_a
+    r_funs, pairings = [], []
+    F = of.f_boxes[0]
+    for i in range(1, na + 1):
+        dF = hf.bracket(hf.hvec, F)
+        r_funs.append(hf.sigma(dF, F))
+        if i < na:
+            F = of.G[na - i].smul(r_funs[-1]) - dF
+            pairings.append(hf.sigma(of.G[na - i - 1], F))
+    # closure: dF_{a n_a} = R_{aa,n_a n_a} E_{a n_a} on the cylinder
+    resid = dF - of.G[0].smul(r_funs[-1])
+    return r_funs, pairings, vanishes_on(hf.cylinder, resid.a + resid.b)
+
+
 def higher_diagonal_invariants(model, cov):
     """Diagonal curvature entries R_{aa,ii} via the structural recursion.
 
     F_{a,i+1} = R_{aa,ii} E_{ai} - dF_{ai}/dt realized on fields through the
     flow derivative ad_H; R_{aa,ii} = sigma(dF_{ai}/dt, F_{ai}).  Entry
     i = 1 must equal the exact R11.  residuals has one check per step: for
-    i < n_a the Darboux pairing sigma(E_{a,i+1}, F_{a,i+1}) = 1 of the new
-    F at the covector (exactly, or within PAIRING_TOL for a float
-    covector), and for i = n_a the closure dF_{a n_a}/dt = R_{aa,n_a n_a}
-    E_{a n_a}, an identity of the model on the unit cylinder 2H = 1 that
-    is decided exactly whatever the covector.
+    i < n_a the Darboux pairing sigma(E_{a,i+1}, F_{a,i+1}) = 1 at the
+    covector (within PAIRING_TOL if float), and for i = n_a the closure
+    dF_{a n_a}/dt = R_{aa,n_a n_a} E_{a n_a}, decided exactly on 2H = 1.
     """
-    of = oracle_fields(model)
-    hf = of.hf
-    na = of.n_a
     _require_pole(model, cov)
-    hvals = list(cov.h)
-
-    values = []
-    residuals = []
-    F = -of.G[na]
-    for i in range(1, na + 1):
-        dF = hf.bracket(hf.hvec, F)
-        r_fun = hf.sigma(dF, F)
-        values.append(r_fun.eval(hvals))
-        E_ai = of.G[na - i]
-        if i < na:
-            F = E_ai.smul(r_fun) - dF
-            pairing = hf.sigma(of.G[na - i - 1], F).eval(hvals)
-            if cov.exact:
-                residuals.append(pairing == 1)
-            else:
-                residuals.append(abs(pairing - 1.0) < PAIRING_TOL)
-        else:
-            # closure: dF_{a n_a} = R_{aa,n_a n_a} E_{a n_a} on the cylinder
-            resid = dF - E_ai.smul(r_fun)
-            residuals.append(vanishes_on(hf.cylinder, resid.a + resid.b))
-    return values, residuals
+    r_funs, pairings, closes = model.memo(_higher_diagonal)
+    values = [r.eval(cov.h) for r in r_funs]
+    residuals = [_agrees(p.eval(cov.h), 1, cov.exact) for p in pairings]
+    return values, residuals + [closes]
 
 
 def derivative_pullback_check(model, cov):

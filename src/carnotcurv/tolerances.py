@@ -47,9 +47,8 @@ LOSS_TIME_MERGE = 1e-9
 ZERO_TIME_WINDOW = 1e-12
 
 # -- oracle checks ------------------------------------------------------------------
-# sigma(E^(n_a), E^(n_a-1)) = 1 at a float covector
-NORM_TOL = 1e-10
-# a Darboux pairing of the canonical frame at a float covector
+# a Darboux pairing of the canonical frame at a float covector, the
+# normalization sigma(E^(n_a), E^(n_a-1)) = 1 among them
 PAIRING_TOL = 1e-10
 # graph-map solves of the Laurent fit with a larger condition number are dropped
 FIT_COND_MAX = 1e12

@@ -476,6 +476,19 @@ class TestVerify:
         assert sha256(out) == ("3c5cbbe8eacf1d0ae3b1168cb32920e77bee142c"
                                "dccecc04f311c41e68f2c01d")
 
+    @pytest.mark.parametrize("group, digest", [
+        ("goursat:5", "c0f941cc22746b24a5a32c9c3eb2718d"
+                      "012163f80648a4f496449b7f03d7377d"),
+        ("cartan", "e7e76f5fe7c1a186acc98ccf6566df66"
+                   "871e438523ea7d836e55101a8d1767a1")])
+    def test_exact_rows_pinned(self, capsys, group, digest):
+        # the Darboux rows, and on goursat:5 the a_ij row, as printed before
+        # route 1 derived its functions of h once per model
+        code, out, _ = run(capsys, "verify", "--suite", "exact", "--group",
+                           group, "--count", "3")
+        assert code == 0
+        assert sha256(out) == digest
+
     def test_negative_count_exit_2(self, capsys):
         # once ran no check and failed as "expected -3/-3, got 0/-3"
         code, out, err = run(capsys, "verify", "--suite", "exact",

@@ -3,7 +3,8 @@
 basis_at evaluates the lifts and vertical fields of frame_fields at (x, p).
 On rational covectors it must equal the reference exactly.  On float ones it
 groups the same products differently, so it agrees to rounding, and at the
-origin (where every oracle, CLI and benchmark covector sits) exactly.
+origin (where every oracle, CLI and benchmark covector sits) exactly.  The
+lifts themselves are checked against their defining property.
 """
 import functools
 from fractions import Fraction
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carnotcurv.frames import h_frame
+from carnotcurv.frames import frame_fields, h_frame
 from carnotcurv.groups import Covector, build_group
+from carnotcurv.symfields import Rat
 from reference_basis import reference_basis_at
 
 SPECS = ("goursat:3", "goursat:4", "goursat:5", "goursat:6", "goursat:7",
@@ -53,3 +55,16 @@ def test_basis_matches_reference(spec, data):
 
     cov = data.draw(covectors(model, FLOAT, origin=True))
     assert hf.basis_at(cov) == reference_basis_at(model, cov)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_lift_defining_property(spec):
+    # X_i lifted: every h_k is constant along it, and its x-part is the base
+    # field X_i, row i of A
+    model = build_group(spec)
+    ff = frame_fields(model)
+    n = model.dim
+    for i, lift in enumerate(ff.lift):
+        assert all(lift.apply(hk).is_zero for hk in ff.h)
+        assert list(lift.comps[:n]) == [Rat(c.pad(2 * n))
+                                        for c in model.a_base[i]]

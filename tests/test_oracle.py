@@ -6,11 +6,11 @@ import pytest
 
 from carnotcurv.errors import (IllConditioned, IndexOutOfRange,
                                LemmaConditionFailed, SingularCovector)
-from carnotcurv.frames import h_frame
+from carnotcurv.frames import HField, HFrame, h_frame
 from carnotcurv.groups import Covector, build_group
 from carnotcurv import curvature as cv
 from carnotcurv import oracle as oc
-from carnotcurv.tolerances import FIT_B_ZERO_TOL
+from carnotcurv.tolerances import FIT_B_ZERO_TOL, FIT_LIN_TOL
 import reference_fit
 from reference_fit import reference_probe_directions, reference_sflat_fit
 
@@ -93,12 +93,13 @@ class TestAij:
         field = ff.w_top
         for _ in range(i):
             field = ff.hvec.bracket(field)
-        beta = ff.vertical_h_components(field)
         pt = list(cov.xp())
         vals = oc.aij_coefficients(m, cov, i)
         n = m.dim
         for mm, want in enumerate(vals):
-            assert beta[n - 1 - i + mm].eval(pt) == want
+            # a vertical field's h-components are its derivatives of the h_k
+            beta = field.apply(ff.h[n - 1 - i + mm])
+            assert beta.eval(pt) == want
 
     def test_index_guard(self, models):
         g5 = models["goursat:5"]
@@ -167,6 +168,16 @@ class TestDarboux:
             assert byname[f"sigma(E_a1,E_b1)"].actual == 0
 
 
+def rebuild_recursion(mp, model):
+    """Make the next call rebuild the model's higher-diagonal recursion.
+
+    Models are session-wide, so the entry is set rather than deleted: when
+    the context closes the unpatched recursion is put back, and one built
+    under a patch does not outlive its test.
+    """
+    mp.setitem(model._memo, (oc._higher_diagonal,), None)
+
+
 class TestHigherDiagonal:
     def test_first_entry_is_r11(self, models, rng):
         for spec in ("goursat:3", "goursat:4", "cartan"):
@@ -206,10 +217,13 @@ class TestHigherDiagonal:
         hf = oc.oracle_fields(m).hf
         assert all(oc.higher_diagonal_invariants(m, cov)[1])
         bracket = hf.bracket
-        monkeypatch.setattr(hf, "bracket",
-                            lambda v, w: bracket(v, w) + bracket(v, w))
-        _, resid = oc.higher_diagonal_invariants(m, cov)
+        with monkeypatch.context() as mp:
+            rebuild_recursion(mp, m)
+            mp.setattr(hf, "bracket",
+                       lambda v, w: bracket(v, w) + bracket(v, w))
+            _, resid = oc.higher_diagonal_invariants(m, cov)
         assert resid[0] is False
+        assert all(oc.higher_diagonal_invariants(m, cov)[1])
 
     @pytest.mark.parametrize("spec, seed", [("goursat:6", 1), ("goursat:5", 3)])
     def test_float_covector_closes(self, models, spec, seed):
@@ -235,9 +249,41 @@ class TestHigherDiagonal:
             s = sigma(v, w)
             return s + s if len(calls) == 2 * m.young[0] - 1 else s
 
-        monkeypatch.setattr(hf, "sigma", doubled_last)
-        _, resid = oc.higher_diagonal_invariants(m, cov)
+        assert all(oc.higher_diagonal_invariants(m, cov)[1])
+        with monkeypatch.context() as mp:
+            rebuild_recursion(mp, m)
+            mp.setattr(hf, "sigma", doubled_last)
+            _, resid = oc.higher_diagonal_invariants(m, cov)
         assert resid == [True, True, False]
+        assert all(oc.higher_diagonal_invariants(m, cov)[1])
+
+
+class TestPerModelDerivation:
+    """Route 1 derives its functions of h once per model; a later call at a
+    new covector only evaluates them."""
+
+    @pytest.mark.parametrize("spec, check", [
+        ("goursat:8", oc.frame_darboux_check),
+        ("cartan", oc.frame_darboux_check),
+        ("goursat:5", oc.higher_diagonal_invariants),
+        ("goursat:8", lambda m, cov: oc.aij_coefficients(m, cov, 5))],
+        ids=["darboux-goursat:8", "darboux-cartan", "diagonal-goursat:5",
+             "aij-goursat:8"])
+    def test_second_call_derives_nothing(self, rng, monkeypatch, spec, check):
+        m = build_group(spec)
+        check(m, oc.random_rational_unit_covector(m, rng))
+        calls = []
+        for cls, name in ((HFrame, "sigma"), (HFrame, "bracket"),
+                          (HField, "apply")):
+            def counted(*args, _f=getattr(cls, name), _name=name):
+                calls.append(_name)
+                return _f(*args)
+            monkeypatch.setattr(cls, name, counted)
+        check(m, oc.random_rational_unit_covector(m, rng))
+        assert calls == []
+        hf = h_frame(m)
+        hf.sigma(hf.hvec, hf.euler)       # the wrapper does count
+        assert calls[0] == "sigma"
 
 
 class TestSflatFit:
@@ -257,6 +303,25 @@ class TestSflatFit:
         fit = oc.sflat_fit(cc, Covector.from_h(cc, (0.6, 0.8, 1.3, -0.8, 0.5)))
         assert abs(fit.lead_a + 16) <= 1e-6 * 16
         assert abs(fit.lead_b + 1) <= 1e-6
+
+    # a known defect, pinned at the tolerance as it is: on these covectors
+    # lin_a misses FIT_LIN_TOL, using 1.164, 1.594 and 1.072 of it (2 of 400
+    # sampled cartan fit-suite covectors miss; none of 150 on goursat:6)
+    @pytest.mark.xfail(strict=True, reason="route-2 lin_a misses FIT_LIN_TOL "
+                       "on about 1 in 200 cartan covectors")
+    @pytest.mark.parametrize("h", [
+        (-0.6950637468272917, 0.7189481120681844, 0.5238772813240771,
+         -0.08383667399613204, -0.8061485156187844),
+        (-0.5240400239159453, 0.851693638190503, 0.6556486235230401,
+         -1.1195089806688734, 0.06721765135275737),
+        (0.4220031453765673, 0.9065943664573941, -0.6322149212566157,
+         -1.4600232335030903, -0.020843906371585508)])
+    def test_cartan_lin_within_tolerance(self, models, h):
+        cc = models["cartan"]
+        cov = Covector.from_h(cc, h)
+        want = float(cv.omega(4, 4)) * float(cv.r11(cc, cov))
+        fit = oc.sflat_fit(cc, cov)
+        assert abs(fit.lin_a - want) <= FIT_LIN_TOL * abs(want)
 
     def test_ill_conditioned_policy(self, models, monkeypatch):
         g4 = models["goursat:4"]
