@@ -8,15 +8,18 @@ block over a stack of states, a chain of ufuncs over their columns.  Only
 the state part of an RK4 step is scalar: it runs on Python floats with its
 four stages inlined, each power v_i**k bound once, and the state is carried
 from step to step as a tuple of floats.  The variational matrix keeps its
-numpy operations, its products BLAS matmuls.  The values equal those of
-numpy-scalar evaluation and of the numpy RK4 step bit for bit.  A power that
-overflows gives NaN values, not an OverflowError.  Conserved quantities are
-monitored and drift beyond a configurable bound (a NaN drift included) is an
-error rather than a silent failure.
+numpy operations, its products BLAS matmuls.  integrate_flows steps several
+runs in lockstep: their states one after the other, their matrices as one
+stack.  The values equal those of numpy-scalar evaluation and of the numpy
+RK4 step bit for bit.  A power that overflows gives NaN values, not an
+OverflowError.  Conserved quantities are monitored and drift beyond a
+configurable bound (a NaN drift included) is an error rather than a silent
+failure.
 """
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 from array import array
 
@@ -177,38 +180,23 @@ def compiled_flow(model):
     return model.memo(CompiledFlow)
 
 
-# steps whose Jacobians integrate_flow evaluates in one jac_block call
+# steps whose Jacobians the flow loop evaluates in one jac_block call: a
+# batch of B runs takes CHUNK // B steps of each run per chunk
 CHUNK = 64
 
 
-def _steps(cf, y, dt, count, M):
-    """count RK4 steps from y, and of M' = jac(y) M when M is given: the
-    states after each step (tuples of floats) and the matrices (None without
-    M).  The Jacobians at the 4 * count stage states are one jac_block call.
-    """
-    step = cf.step
-    states = []
-    stages = array("d")
-    for _ in range(count):
-        y_next, y2, y3, y4 = step(y, dt)
-        if M is not None:
-            for v in (y, y2, y3, y4):
-                stages.extend(v)
-        states.append(y_next)
-        y = y_next
-    if M is None:
-        return states, [None] * count
-    N = len(M)
-    J = cf.jac_block(np.frombuffer(stages).reshape(-1, N))
-    Ms = []
-    for j1, j2, j3, j4 in J.reshape(count, 4, N, N):
-        m1 = j1 @ M
-        m2 = j2 @ (M + 0.5 * dt * m1)
-        m3 = j3 @ (M + 0.5 * dt * m2)
-        m4 = j4 @ (M + dt * m3)
-        M = M + (dt / 6.0) * (m1 + 2 * m2 + 2 * m3 + m4)
-        Ms.append(M)
-    return states, Ms
+def _matrix_step(J, M, h2, dt, h6):
+    """One RK4 step of M' = jac(y) M from the Jacobians J[..., s, :, :] at
+    the four stage states, with h2 = dt / 2 and h6 = dt / 6.  M may be a
+    (B, N, N) stack, and the step sizes arrays of its shape: matmul
+    multiplies each slice as it multiplies a single matrix, so every slice
+    has the bits of its own step."""
+    j1, j2, j3, j4 = (J[..., s, :, :] for s in range(4))
+    m1 = j1 @ M
+    m2 = j2 @ (M + h2 * m1)
+    m3 = j3 @ (M + h2 * m2)
+    m4 = j4 @ (M + dt * m3)
+    return M + h6 * (m1 + 2 * m2 + 2 * m3 + m4)
 
 
 def rk4_step(cf, y, dt, M=None):
@@ -218,8 +206,113 @@ def rk4_step(cf, y, dt, M=None):
     Returns (y, M) at t + dt, y as a tuple of floats and M being None when
     none was given.
     """
-    states, Ms = _steps(cf, y, dt, 1, M)
-    return states[0], Ms[0]
+    y_next, *stages = cf.step(y, dt)
+    if M is None:
+        return y_next, None
+    J = cf.jac_block(np.array([tuple(y), *stages]))
+    return y_next, _matrix_step(J, M, 0.5 * dt, dt, dt / 6.0)
+
+
+class _Run:
+    """One flow of a lockstep batch: the state (a tuple of floats), the
+    step dt and step count, and the samples stored so far, the matrices in
+    one preallocated array."""
+
+    __slots__ = ("y", "dt", "nsteps", "every", "done", "t", "ts", "ys", "Ms")
+
+    def __init__(self, y, dt, nsteps, every, M):
+        self.y, self.dt, self.nsteps, self.every = y, dt, nsteps, every
+        self.done, self.t = 0, 0.0
+        self.ts, self.ys = [0.0], array("d", y)
+        self.Ms = None
+        if M is not None:
+            self.Ms = np.empty((1 + -(-nsteps // every), *M.shape))
+            self.Ms[0] = M
+
+    def trajectory(self, model):
+        return Trajectory(model, np.array(self.ts),
+                          np.frombuffer(self.ys).reshape(len(self.ts), -1),
+                          self.Ms)
+
+
+def _advance(cf, runs, M):
+    """Steps every run to its step count in lockstep; M is the (B, N, N)
+    stack of the runs' matrices, or None for states only.
+
+    Each chunk takes CHUNK // B steps of each of the B runs left (fewer for
+    a run that ends in it).  The states step on Python floats, one run after
+    the other; then the matrices step as one stack (_matrix_chunk).
+    """
+    step = cf.step
+    if M is not None:
+        # dt / 2, dt and dt / 6 of each run, as whole matrices: a product
+        # with a contiguous array is one ufunc loop, with a (B, 1, 1)
+        # column one loop per row
+        coef = np.array([(0.5 * r.dt, r.dt, r.dt / 6.0) for r in runs])
+        coef = np.ascontiguousarray(np.broadcast_to(
+            coef.T[:, :, None, None], (3, *M.shape)))
+    while runs:
+        count = max(1, CHUNK // len(runs))
+        stages = array("d") if M is not None else None
+        starts, kept = [], []
+        for run in runs:
+            y, dt, t, ts, ys = run.y, run.dt, run.t, run.ts, run.ys
+            start, last, every = run.done, run.nsteps, run.every
+            run.done = min(last, start + count)
+            ks = []
+            for k in range(start + 1, run.done + 1):
+                y_next, y2, y3, y4 = step(y, dt)
+                if stages is not None:
+                    stages.extend(y + y2 + y3 + y4)
+                y = y_next
+                t += dt
+                if k % every == 0 or k == last:
+                    ts.append(t)
+                    ys.extend(y)
+                    ks.append(k)
+            run.y, run.t = y, t
+            starts.append(start)
+            kept.append(ks)
+        if M is not None:
+            M, coef = _matrix_chunk(cf, runs, starts, kept, stages, M, coef)
+        runs = [r for r in runs if r.done < r.nsteps]
+
+
+def _matrix_chunk(cf, runs, starts, kept, stages, M, coef):
+    """The matrix part of a chunk of _advance.  stages holds the stage
+    states of each run's steps after starts, run after run, and the
+    Jacobians at all of them are one jac_block call.  The stack M steps
+    with the step sizes coef, a run leaves it after its last step of the
+    chunk, and each run stores its matrices after the steps kept.  Returns
+    the stack and its step sizes for the runs that go on."""
+    N = M.shape[-1]
+    taken = [r.done - s for r, s in zip(runs, starts)]
+    first = list(itertools.accumulate(taken, initial=0))
+    # the runs in the stack at each step, and their Jacobians step-major,
+    # so that the slices of one step are contiguous
+    stack = [[b for b, n in enumerate(taken) if n > j]
+             for j in range(max(taken))]
+    J = cf.jac_block(np.frombuffer(stages).reshape(-1, N))
+    J = J.reshape(-1, 4, N, N)[[first[b] + j for j, on in enumerate(stack)
+                                for b in on]]
+    out = np.empty((len(stack), len(runs), N, N))
+    at = 0
+    for j, on in enumerate(stack):
+        if len(on) < len(M):
+            keep = [taken[b] > j for b in stack[j - 1]]
+            M, coef = M[keep], coef[:, keep]
+        M = _matrix_step(J[at:at + len(on)], M, *coef)
+        at += len(on)
+        if len(on) < len(runs):
+            out[j, on] = M
+        else:
+            out[j] = M
+    for b, (run, start, ks) in enumerate(zip(runs, starts, kept)):
+        # the run's samples of this chunk are the last len(ks) of ts
+        stored = len(run.ts)
+        run.Ms[stored - len(ks):stored] = out[[k - start - 1 for k in ks], b]
+    keep = [runs[b].done < runs[b].nsteps for b in stack[-1]]
+    return M[keep], coef[:, keep]
 
 
 class Trajectory:
@@ -330,6 +423,56 @@ def step_count(T, step):
     return max(1, int(round(abs(T) / step)))
 
 
+def integrate_flows(model, runs, step=1e-3, with_variational=False,
+                    store_every=1, drift_bound=DRIFT_TOL, richardson=False):
+    """integrate_flow for each (cov, T) of runs, stepped in lockstep.
+
+    Returns one Trajectory per run, equal bit for bit to what integrate_flow
+    gives for that run alone: the runs share the Jacobian block calls and
+    the matrix stack (see _advance), and each run's values come from its own
+    operations in the same order.  A Richardson run is two runs of the
+    batch.  Raises StepTooLarge for the first run, in the order of runs,
+    whose drift fails the bound.
+    """
+    passes = [(step, store_every)]
+    if richardson:
+        passes.append((step / 2, 2 * store_every))
+    plan = [(cov, T, step_count(T, h), every)
+            for cov, T in runs for h, every in passes]
+    N = 2 * model.dim
+    M = np.eye(N) if with_variational else None
+    # an overflowing covector is reported once, by the drift check (a NaN
+    # drift fails it); without a check numpy's warnings stay on
+    quiet = (np.errstate(over="ignore", invalid="ignore")
+             if drift_bound is not None else contextlib.nullcontext())
+    with quiet:
+        flows = [_Run(tuple(float(v) for v in cov.xp()),
+                      math.copysign(abs(T) / nsteps, T), nsteps, every, M)
+                 for cov, T, nsteps, every in plan]
+        _advance(compiled_flow(model), flows,
+                 None if M is None else np.tile(M, (len(flows), 1, 1)))
+        trajs = [f.trajectory(model) for f in flows]
+        if richardson:
+            # (16 y_{h/2} - y_h) / 15 in the arrays of the half-step pass
+            pairs = list(zip(trajs[::2], trajs[1::2]))
+            for t1, t2 in pairs:
+                for whole, half in ((t1.ys, t2.ys), (t1.Ms, t2.Ms)):
+                    if half is not None:
+                        half *= 16.0
+                        half -= whole
+                        half /= 15.0
+            trajs = [Trajectory(model, t1.ts, t2.ys, t2.Ms)
+                     for t1, t2 in pairs]
+        if drift_bound is not None:
+            for traj in trajs:
+                drift = traj.conservation_drift()
+                if not drift <= drift_bound:
+                    raise StepTooLarge(
+                        f"H drift {drift:.3e} exceeds bound "
+                        f"{drift_bound:.3e}; reduce the step size")
+    return trajs
+
+
 def integrate_flow(model, cov, T, step=1e-3, with_variational=False,
                    store_every=1, drift_bound=DRIFT_TOL, richardson=False):
     """Classical fixed-step RK4 on the 2n-dim system (plus 2n x 2n variational).
@@ -339,58 +482,11 @@ def integrate_flow(model, cov, T, step=1e-3, with_variational=False,
     drift is not a number (a covector too large for floats).  With
     richardson=True a second pass at half the step is combined as
     (16 y_{h/2} - y_h)/15, eliminating the h^4 truncation term (the deep
-    rows of the Jacobi-curve fit need this).
+    rows of the Jacobi-curve fit need this).  The one-run case of
+    integrate_flows.
     """
-    nsteps = step_count(T, step)
-    # an overflowing covector is reported once, by the drift check (a NaN
-    # drift fails it); without a check numpy's warnings stay on
-    quiet = (np.errstate(over="ignore", invalid="ignore")
-             if drift_bound is not None else contextlib.nullcontext())
-    with quiet:
-        if richardson:
-            t1 = integrate_flow(model, cov, T, step, with_variational,
-                                store_every, drift_bound=None)
-            t2 = integrate_flow(model, cov, T, step / 2, with_variational,
-                                2 * store_every, drift_bound=None)
-            ys = (16.0 * t2.ys - t1.ys) / 15.0
-            Ms = None
-            if with_variational:
-                Ms = (16.0 * t2.Ms - t1.Ms) / 15.0
-            traj = Trajectory(model, t1.ts, ys, Ms)
-        else:
-            cf = compiled_flow(model)
-            N = 2 * model.dim
-            y = tuple(float(v) for v in cov.xp())
-            hstep = math.copysign(abs(T) / nsteps, T)
-
-            # the state is a tuple of floats, its samples packed into one
-            # float buffer; _steps returns fresh matrices, so the stored
-            # samples need no copy
-            M = np.eye(N) if with_variational else None
-            ts, ys, Ms = [0.0], array("d", y), [M]
-            t = 0.0
-            for start in range(0, nsteps, CHUNK):
-                count = min(CHUNK, nsteps - start)
-                states, mats = _steps(cf, y, hstep, count, M)
-                for k, y, M in zip(range(start + 1, start + count + 1),
-                                   states, mats):
-                    t += hstep
-                    if k % store_every == 0 or k == nsteps:
-                        ts.append(t)
-                        ys.extend(y)
-                        Ms.append(M)
-
-            traj = Trajectory(model, np.array(ts),
-                              np.frombuffer(ys).reshape(-1, N),
-                              np.array(Ms) if with_variational else None)
-        if drift_bound is None:
-            return traj
-        drift = traj.conservation_drift()
-    if not drift <= drift_bound:
-        raise StepTooLarge(
-            f"H drift {drift:.3e} exceeds bound {drift_bound:.3e}; "
-            f"reduce the step size")
-    return traj
+    return integrate_flows(model, [(cov, T)], step, with_variational,
+                           store_every, drift_bound, richardson)[0]
 
 
 def conserved_quantities(model, cov):

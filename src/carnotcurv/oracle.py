@@ -26,7 +26,8 @@ from .errors import (IllConditioned, IndexOutOfRange, LemmaConditionFailed,
                      ShootingDiverged, StepUnbalanced)
 from .frames import frame_fields, h_frame, vanishes_on
 from .groups import Covector, fiber_transform
-from .hamiltonian import compiled_flow, integrate_flow
+from .hamiltonian import (compiled_flow, integrate_flow, integrate_flows,
+                          step_count)
 from .symfields import Poly, Rat, sigma_pair
 from .tolerances import (DRIFT_TOL, FIT_B_ZERO_TOL, FIT_COND_MAX,
                          FIT_LEAD_TOL, FIT_LIN_TOL, PAIRING_TOL,
@@ -307,13 +308,11 @@ def sflat_fit(model, cov):
         rows = z / nr[None, :]
         return rows[:, [0, n - 1]]                # box order: a1..a n_a, b1
 
-    blocks = []
-    for direction in (+1, -1):
-        traj = integrate_flow(model, cov, direction * tmax, step=step,
-                              with_variational=True, drift_bound=DRIFT_TOL,
-                              richardson=True)
-        blocks.append([sblock_at(traj.Ms[int(round(t / step))])
-                       for t in t_grid])
+    trajs = integrate_flows(model, [(cov, tmax), (cov, -tmax)], step=step,
+                            with_variational=True, drift_bound=DRIFT_TOL,
+                            richardson=True)
+    blocks = [[sblock_at(traj.Ms[int(round(t / step))]) for t in t_grid]
+              for traj in trajs]
 
     ts, zs = [], []
     for t, sp, sm in zip(t_grid, *blocks):
@@ -409,7 +408,10 @@ def derivative_pullback_check(model, cov):
 # ----------------------------------------------------------------------
 
 def _shoot(model, x, p0, target, t):
-    """H at the Newton-solved initial momentum reaching `target` in time t.
+    """Newton shooting for the momentum at x whose geodesic reaches `target`
+    in time t, as a generator: it yields each flow it needs as ((covector,
+    t), with_variational), is sent that flow's trajectory, and returns H at
+    the solved momentum.
 
     The residual of each Newton iterate is read from the trajectory that
     accepted it (the line search's, after the first), so the variational
@@ -421,19 +423,16 @@ def _shoot(model, x, p0, target, t):
     x = np.array(x, dtype=float)
 
     def flow(p, with_variational=False):
-        return integrate_flow(model, Covector(model, tuple(x), tuple(p)), t,
-                              step=_PROBE_STEP,
-                              with_variational=with_variational,
-                              drift_bound=None)
+        return (Covector(model, tuple(x), tuple(p)), t), with_variational
 
     p = np.array(p0, dtype=float)
-    traj = flow(p, with_variational=True)
+    traj = yield flow(p, with_variational=True)
     for _ in range(_NEWTON_MAX_ITER):
         r = traj.ys[-1][:n] - target
         if np.max(np.abs(r)) <= SHOOT_TOL:
             return float(cf.H_of(np.concatenate([x, p])[None])[0])
         if traj.Ms is None:
-            traj = flow(p, with_variational=True)
+            traj = yield flow(p, with_variational=True)
         Jac = traj.Ms[-1][:n, n:]
         try:
             dp = np.linalg.solve(Jac, r)
@@ -443,7 +442,7 @@ def _shoot(model, x, p0, target, t):
         base = np.max(np.abs(r))
         while damping > 1e-4:
             p_try = p - damping * dp
-            traj_try = flow(p_try)
+            traj_try = yield flow(p_try)
             if np.max(np.abs(traj_try.ys[-1][:n] - target)) < base:
                 p, traj = p_try, traj_try
                 break
@@ -455,13 +454,56 @@ def _shoot(model, x, p0, target, t):
                            f"in {_NEWTON_MAX_ITER} iters")
 
 
+def _shoot_all(model, problems):
+    """H of each shooting problem (x, p0, target, t), solved in lockstep.
+
+    Each round runs the flows that the live problems ask for as two
+    integrate_flows batches, the variational flows and the line-search
+    trials, and each problem takes exactly the steps it takes alone.  The
+    flows store only their endpoint.  Once a problem diverges, only the
+    problems before it keep running, and the first one (in the order of
+    problems) that diverged raises its ShootingDiverged, as solving them
+    one after the other would.
+    """
+    every = step_count(max(t for *_, t in problems), _PROBE_STEP)
+    solvers = [_shoot(model, *prob) for prob in problems]
+    asks = {i: next(g) for i, g in enumerate(solvers)}
+    H = [None] * len(problems)
+    failed = None
+    while asks:
+        for variational in (True, False):
+            batch = [i for i, (_, v) in asks.items() if v is variational]
+            if not batch:
+                continue
+            trajs = integrate_flows(model, [asks[i][0] for i in batch],
+                                    step=_PROBE_STEP,
+                                    with_variational=variational,
+                                    store_every=every, drift_bound=None)
+            for i, traj in zip(batch, trajs):
+                try:
+                    asks[i] = solvers[i].send(traj)
+                except StopIteration as done:
+                    H[i] = done.value
+                    del asks[i]
+                except ShootingDiverged as exc:
+                    if failed is None or i < failed[0]:
+                        failed = (i, exc)
+                    del asks[i]
+            if failed is not None:
+                asks = {i: a for i, a in asks.items() if i < failed[0]}
+    if failed is not None:
+        raise failed[1]
+    return H
+
+
 def cost_hessian_probe(model, cov, t=0.1):
     """Finite-difference probe of the cost Hessian restricted to the distribution.
 
     Computes c_tau(x) = -tau H(eta(x, tau)) by Newton shooting onto the
     reference geodesic, differentiates in tau centrally, and second-differences
     in x along the projected canonical-frame directions.  The leading behavior
-    must match diag(n_a^2, 1)/t^2.  Slow; intended for Heisenberg/Engel.
+    must match diag(n_a^2, 1)/t^2.  The 13 points x 2 tau shootings are
+    solved in lockstep.  Slow; intended for Heisenberg/Engel.
     """
     cov = cov.as_float()
     n = model.dim
@@ -471,7 +513,6 @@ def cost_hessian_probe(model, cov, t=0.1):
     if abs(na1 - 1) > PROBE_UNIT_TOL or abs(nb1 - 1) > PROBE_UNIT_TOL:
         raise LemmaConditionFailed(
             f"projected frame directions are not unit: {na1}, {nb1}")
-    dirs = [fa1, fb1]
 
     dt = _PROBE_DT_FRAC * t
     taus = (t - dt, t + dt)
@@ -480,31 +521,37 @@ def cost_hessian_probe(model, cov, t=0.1):
 
     x0 = np.array([float(v) for v in cov.base])
     h0 = [float(v) for v in cov.h]
+    steps = (_PROBE_H, _PROBE_H / 2)
+    # x0, then per step s: x0 +- s v for v = fa1, fb1, fa1 + fb1
+    points = [x0]
+    for s in steps:
+        for v in (fa1, fb1, fa1 + fb1):
+            points += [x0 + s * v, x0 - s * v]
 
-    def cdot(x):
+    def p_guess(x):
         _, ainv = fiber_transform(model, tuple(x))
-        p_guess = np.array(
+        return np.array(
             [sum(ainv[j][i] * h0[i] for i in range(n)) for j in range(n)])
-        vals = [-tau * _shoot(model, x, p_guess, targets[tau], tau)
-                for tau in taus]
-        return (vals[1] - vals[0]) / (2 * dt)
 
-    f0 = cdot(x0)
+    Hs = iter(_shoot_all(model, [(x, p, targets[tau], tau)
+                                 for x, p in zip(points, map(p_guess, points))
+                                 for tau in taus]))
+    cdot = []
+    for _ in points:
+        vals = [-tau * next(Hs) for tau in taus]
+        cdot.append((vals[1] - vals[0]) / (2 * dt))
+    f0 = cdot[0]
 
-    def hessian(s):
+    def hessian(s, fp0, fm0, fp1, fm1, fpp, fmm):
         q = np.zeros((2, 2))
-        for i, v in enumerate(dirs):
-            fp = cdot(x0 + s * v)
-            fm = cdot(x0 - s * v)
+        for i, (fp, fm) in enumerate(((fp0, fm0), (fp1, fm1))):
             q[i, i] = (fp - 2 * f0 + fm) / (s * s)
-        fpp = cdot(x0 + s * (dirs[0] + dirs[1]))
-        fmm = cdot(x0 - s * (dirs[0] + dirs[1]))
         q[0, 1] = q[1, 0] = (fpp + fmm - 2 * f0
                              - q[0, 0] * s * s - q[1, 1] * s * s) / (2 * s * s)
         return q
 
-    q = hessian(_PROBE_H)
-    q2 = hessian(_PROBE_H / 2)
+    q = hessian(steps[0], *cdot[1:7])
+    q2 = hessian(steps[1], *cdot[7:])
     for i in (0, 1):
         if abs(q2[i, i] - q[i, i]) > PROBE_BALANCE_TOL * abs(q[i, i]):
             raise StepUnbalanced(

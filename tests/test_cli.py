@@ -489,6 +489,38 @@ class TestVerify:
         assert code == 0
         assert sha256(out) == digest
 
+    @pytest.mark.parametrize("group, digest", [
+        ("goursat:3", "079312b4873bf31d011cbb7470b0ebc4"
+                      "b03f77c899d29ba47d1ce2b9d6ed5008"),
+        ("goursat:4", "c1f13b3530d0f406d3412d18d853ec6d"
+                      "6dd4ca8dd04982a8e5228143bccbef3b"),
+        ("goursat:5", "88c8b82f21fedfff048d30375b4d7173"
+                      "19613cb3026353baf5d9ff7c443a6b0a"),
+        ("goursat:6", "be320f874da93d6bfb1a3400c0237ef6"
+                      "f95bfb79fb53766b4c7512dbed68bc11"),
+        ("cartan", "37e0ae1e68e5238754c6a1e80c047ebe"
+                   "47eb4889b4ef3575be95cc260d6847b3")])
+    def test_fit_rows_pinned(self, capsys, group, digest):
+        # route 2's rows, each value printed with 17 digits, as printed
+        # before the fit's four flows stepped in lockstep
+        code, out, _ = run(capsys, "verify", "--suite", "fit", "--group",
+                           group)
+        assert code == 0
+        assert sha256(out) == digest
+
+    @pytest.mark.parametrize("seed, digest", [
+        ("0", "620eeabf4174c24bb9c607bc440c6c7b"
+              "ec70e3687cf38a7e6207645a340f307c"),
+        ("1", "de4429bd521202d595bf3747f04efe10"
+              "242c02d4cbec98a05b49012786bf4883")])
+    def test_slow_rows_pinned(self, capsys, seed, digest):
+        # route 3's rows on goursat:3 and goursat:4, as printed before the
+        # probe's 26 shootings were solved in lockstep
+        code, out, _ = run(capsys, "verify", "--suite", "slow", "--seed",
+                           seed)
+        assert code == 0
+        assert sha256(out) == digest
+
     def test_negative_count_exit_2(self, capsys):
         # once ran no check and failed as "expected -3/-3, got 0/-3"
         code, out, err = run(capsys, "verify", "--suite", "exact",

@@ -7,7 +7,8 @@ the same C pow, and every structurally nonzero Jacobian entry in place.  An
 overflowing power gives a row of NaN outputs instead of an OverflowError.
 integrate_flow steps the state and then the variational matrix a chunk of
 CHUNK steps at a time, and its samples must not depend on where the chunks
-end.
+end.  integrate_flows steps several runs in lockstep, their matrices as one
+stack, and each run must equal its one-run flow and the reference loop.
 """
 import functools
 import math
@@ -22,7 +23,7 @@ from carnotcurv.errors import StepTooLarge
 from carnotcurv.frames import frame_fields
 from carnotcurv.groups import Covector, build_group
 from carnotcurv.hamiltonian import (CHUNK, compiled_flow, integrate_flow,
-                                    step_count)
+                                    integrate_flows, step_count)
 from reference_covector import covector_at
 from reference_flow import ReferenceFlow, reference_rk4_step
 
@@ -196,6 +197,78 @@ def test_chunked_run_matches_reference_loop(spec, sign, variational,
         assert traj.Ms.tobytes() == Ms.tobytes()
     else:
         assert traj.Ms is None
+
+
+def lockstep_runs(model, richardson):
+    """Three runs of both signs, each with its own step |T| / nsteps.  With
+    3 runs a chunk is CHUNK // 3 = 21 steps: the 42-step run leaves the
+    stack on the second chunk boundary, the 31-step run inside the second
+    chunk, and the 100-step run ends inside a chunk of its own.  Richardson
+    doubles the batch (10-step chunks), so it takes horizons whose half-step
+    counts are twice the whole."""
+    n = model.dim
+    covs = [covector_at(model, [v * s for v in H0[:n]], BASE[:n])
+            for s in (1.0, 0.8, 1.2)]
+    Ts = (0.042, -0.037, 0.1) if richardson else (0.042, -0.0314, 0.1)
+    assert CHUNK // 3 == 21
+    assert [step_count(T, 1e-3) for T in Ts] == (
+        [42, 37, 100] if richardson else [42, 31, 100])
+    return list(zip(covs, Ts))
+
+
+@pytest.mark.parametrize("spec", ("goursat:3", "goursat:6", "cartan"))
+@pytest.mark.parametrize("variational,richardson",
+                         [(True, False), (True, True), (False, False),
+                          (False, True)])
+@pytest.mark.parametrize("every", (1, 7))
+def test_lockstep_runs_match_one_run_flows(spec, variational, richardson,
+                                           every):
+    model, _, ref = flows(spec)
+    runs = lockstep_runs(model, richardson)
+    trajs = integrate_flows(model, runs, 1e-3, with_variational=variational,
+                            store_every=every, richardson=richardson)
+    assert len(trajs) == len(runs)
+    for (cov, T), traj in zip(runs, trajs):
+        one = integrate_flow(model, cov, T, 1e-3,
+                             with_variational=variational, store_every=every,
+                             richardson=richardson)
+        ts, ys, Ms = reference_run(ref, cov, T, 1e-3, every, variational)
+        if richardson:
+            _, ys2, Ms2 = reference_run(ref, cov, T, 5e-4, 2 * every,
+                                        variational)
+            ys = (16.0 * ys2 - ys) / 15.0
+            Ms = (16.0 * Ms2 - Ms) / 15.0 if variational else None
+        for got in (traj, one):
+            assert got.ts.tobytes() == ts.tobytes()
+            assert got.ys.tobytes() == ys.tobytes()
+            if variational:
+                assert got.Ms.tobytes() == Ms.tobytes()
+            else:
+                assert got.Ms is None
+
+
+def test_lockstep_drift_check_names_the_failing_run():
+    # the first run in the given order whose drift fails the bound raises,
+    # with that run's drift; an overflowing run drifts by NaN
+    model = build_group("goursat:4")
+    cov = Covector.from_h(model, (0.6, 0.8, 1.1, -0.4))
+    huge = Covector.from_h(model, (1e200, 1.0, 0.0, 0.0))
+    drifts = [integrate_flow(model, cov, T, 0.25,
+                             drift_bound=None).conservation_drift()
+              for T in (0.5, 5.0)]
+    assert drifts[0] < drifts[1]
+    bound = (drifts[0] + drifts[1]) / 2
+    runs = [(cov, 0.5), (cov, 5.0), (huge, 1.0)]
+    with pytest.raises(StepTooLarge, match=f"H drift {drifts[1]:.3e} "):
+        integrate_flows(model, runs, 0.25, drift_bound=bound)
+    with pytest.raises(StepTooLarge, match="H drift nan"):
+        integrate_flows(model, [runs[0], runs[2], runs[1]], 0.25,
+                        drift_bound=bound)
+    with pytest.raises(StepTooLarge, match="H drift nan"):
+        integrate_flows(model, [runs[0], runs[2]], 0.25,
+                        with_variational=True, drift_bound=bound)
+    assert len(integrate_flows(model, runs[:1], 0.25,
+                               drift_bound=bound)) == 1
 
 
 class TestOverflow:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from carnotcurv.errors import (IllConditioned, IndexOutOfRange,
-                               LemmaConditionFailed, SingularCovector)
+                               LemmaConditionFailed, ShootingDiverged,
+                               SingularCovector)
 from carnotcurv.frames import HField, HFrame, h_frame
 from carnotcurv.groups import Covector, build_group
 from carnotcurv import curvature as cv
@@ -13,6 +14,7 @@ from carnotcurv import oracle as oc
 from carnotcurv.tolerances import FIT_B_ZERO_TOL, FIT_LIN_TOL
 import reference_fit
 from reference_fit import reference_probe_directions, reference_sflat_fit
+from reference_probe import reference_cost_hessian_probe
 
 
 class TestCanonicalETop:
@@ -433,22 +435,53 @@ class TestCostProbe:
     def test_shoot_integrates_the_matrix_once_per_newton_step(
             self, models, monkeypatch):
         # the residual of an accepted iterate is read from the line search's
-        # trajectory, so a converged shoot ends on a run without the matrix
+        # trajectory, so a converged shoot ends on a run without the matrix;
+        # two copies of one problem step in lockstep, each flow a batch of
+        # two runs that store only their endpoint
         g3 = models["goursat:3"]
         cov = Covector.from_h(g3, (1.0, 0.0, 1.0)).as_float()
         target = oc.integrate_flow(g3, cov, 0.1, step=1e-3).ys[-1][:3]
         calls = []
-        flow = oc.integrate_flow
+        flows = oc.integrate_flows
 
-        def counting(*args, **kw):
-            calls.append(kw.get("with_variational", False))
-            return flow(*args, **kw)
+        def counting(model, runs, **kw):
+            trajs = flows(model, runs, **kw)
+            calls.append((kw["with_variational"], len(runs)))
+            assert all(len(traj) == 2 for traj in trajs)
+            return trajs
 
-        monkeypatch.setattr(oc, "integrate_flow", counting)
+        monkeypatch.setattr(oc, "integrate_flows", counting)
         p0 = [float(v) + 0.01 for v in cov.p]
-        H = oc._shoot(g3, [float(v) for v in cov.base], p0, target, 0.1)
-        assert abs(H - 0.5) < 1e-12
-        assert calls == [True, False] * 3
+        problem = ([float(v) for v in cov.base], p0, target, 0.1)
+        for copies in (1, 2):
+            calls.clear()
+            Hs = oc._shoot_all(g3, [problem] * copies)
+            assert len(Hs) == copies
+            assert all(abs(H - 0.5) < 1e-12 for H in Hs)
+            assert calls == [(True, copies), (False, copies)] * 3
+
+    @pytest.mark.parametrize("spec", ["goursat:3", "goursat:4"])
+    def test_lockstep_probe_matches_sequential(self, models, spec):
+        # the 26 shootings in lockstep give the bytes of q that solving them
+        # one after the other gives
+        m = models[spec]
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            cov = oc.random_unit_covector(m, rng, pole_min=0.45)
+            q = oc.cost_hessian_probe(m, cov)
+            assert q.tobytes() == reference_cost_hessian_probe(m, cov).tobytes()
+
+    def test_lockstep_probe_raises_the_first_divergence(self, models):
+        # on this Cartan covector, in lockstep, shootings 21, 12, 16 and 8
+        # diverge before shooting 2, the one the sequential probe meets first
+        m = models["cartan"]
+        cov = oc.random_unit_covector(m, np.random.default_rng(0),
+                                      pole_min=0.45)
+        message = "Newton damping underflow at residual 5.876e-05"
+        for probe in (reference_cost_hessian_probe, oc.cost_hessian_probe):
+            with pytest.raises(ShootingDiverged) as info:
+                probe(m, cov)
+            assert str(info.value) == message
 
     def test_flat_direction_still_defined(self, models):
         g3 = models["goursat:3"]
