@@ -9,17 +9,17 @@ the state part of an RK4 step is scalar: it runs on Python floats with its
 four stages inlined, each power v_i**k bound once, and the state is carried
 from step to step as a tuple of floats.  The variational matrix keeps its
 numpy operations, its products BLAS matmuls.  integrate_flows steps several
-runs in lockstep: their states one after the other, their matrices as one
-stack.  The values equal those of numpy-scalar evaluation and of the numpy
-RK4 step bit for bit.  A power that overflows gives NaN values, not an
-OverflowError.  Conserved quantities are monitored and drift beyond a
-configurable bound (a NaN drift included) is an error rather than a silent
-failure.
+runs in lockstep, longest first: each step of the runs still stepping takes
+their states one after the other and their matrices as the prefix of one
+stack, the one place where a variational matrix steps.  The values equal
+those of numpy-scalar evaluation and of the numpy RK4 step bit for bit.  A
+power that overflows gives NaN values, not an OverflowError.  Conserved
+quantities are monitored and drift beyond a configurable bound (a NaN drift
+included) is an error rather than a silent failure.
 """
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 from array import array
 
@@ -180,8 +180,8 @@ def compiled_flow(model):
     return model.memo(CompiledFlow)
 
 
-# steps whose Jacobians the flow loop evaluates in one jac_block call: a
-# batch of B runs takes CHUNK // B steps of each run per chunk
+# steps whose Jacobians the flow loop evaluates in one jac_block call: the
+# w runs still stepping take CHUNK // w steps each per chunk
 CHUNK = 64
 
 
@@ -199,31 +199,16 @@ def _matrix_step(J, M, h2, dt, h6):
     return M + h6 * (m1 + 2 * m2 + 2 * m3 + m4)
 
 
-def rk4_step(cf, y, dt, M=None):
-    """One classical RK4 step of the flow from y; also steps the variational
-    matrix M (y' = rhs(y), M' = jac(y) M) when one is given.
-
-    Returns (y, M) at t + dt, y as a tuple of floats and M being None when
-    none was given.
-    """
-    y_next, *stages = cf.step(y, dt)
-    if M is None:
-        return y_next, None
-    J = cf.jac_block(np.array([tuple(y), *stages]))
-    return y_next, _matrix_step(J, M, 0.5 * dt, dt, dt / 6.0)
-
-
 class _Run:
     """One flow of a lockstep batch: the state (a tuple of floats), the
     step dt and step count, and the samples stored so far, the matrices in
     one preallocated array."""
 
-    __slots__ = ("y", "dt", "nsteps", "every", "done", "t", "ts", "ys", "Ms")
+    __slots__ = ("y", "dt", "nsteps", "every", "t", "ts", "ys", "Ms")
 
     def __init__(self, y, dt, nsteps, every, M):
         self.y, self.dt, self.nsteps, self.every = y, dt, nsteps, every
-        self.done, self.t = 0, 0.0
-        self.ts, self.ys = [0.0], array("d", y)
+        self.t, self.ts, self.ys = 0.0, [0.0], array("d", y)
         self.Ms = None
         if M is not None:
             self.Ms = np.empty((1 + -(-nsteps // every), *M.shape))
@@ -236,83 +221,53 @@ class _Run:
 
 
 def _advance(cf, runs, M):
-    """Steps every run to its step count in lockstep; M is the (B, N, N)
-    stack of the runs' matrices, or None for states only.
+    """Steps every run to its step count in lockstep; M is the start matrix
+    of every run, or None for states only.
 
-    Each chunk takes CHUNK // B steps of each of the B runs left (fewer for
-    a run that ends in it).  The states step on Python floats, one run after
-    the other; then the matrices step as one stack (_matrix_chunk).
+    The runs go longest first, so the w runs still stepping are runs[:w]
+    and their matrices the prefix M[:w] of one (B, N, N) stack.  A chunk
+    takes CHUNK // w steps (at least one, and none past the end of a run)
+    of each of the w runs.  The states step on Python floats, step by step
+    and run by run within a step; the Jacobians at all their stage states
+    are then one jac_block call, and the stack steps once per step.
     """
     step = cf.step
+    runs = sorted(runs, key=lambda r: r.nsteps, reverse=True)
     if M is not None:
+        N = len(M)
+        M = np.tile(M, (len(runs), 1, 1))
         # dt / 2, dt and dt / 6 of each run, as whole matrices: a product
         # with a contiguous array is one ufunc loop, with a (B, 1, 1)
         # column one loop per row
-        coef = np.array([(0.5 * r.dt, r.dt, r.dt / 6.0) for r in runs])
-        coef = np.ascontiguousarray(np.broadcast_to(
-            coef.T[:, :, None, None], (3, *M.shape)))
-    while runs:
-        count = max(1, CHUNK // len(runs))
-        stages = array("d") if M is not None else None
-        starts, kept = [], []
-        for run in runs:
-            y, dt, t, ts, ys = run.y, run.dt, run.t, run.ts, run.ys
-            start, last, every = run.done, run.nsteps, run.every
-            run.done = min(last, start + count)
-            ks = []
-            for k in range(start + 1, run.done + 1):
-                y_next, y2, y3, y4 = step(y, dt)
-                if stages is not None:
+        dt = np.broadcast_to(np.array([r.dt for r in runs])[:, None, None],
+                             M.shape)
+        coef = np.array([0.5 * dt, dt, dt / 6.0])
+    done, w = 0, len(runs)
+    while w:
+        stop = min(runs[w - 1].nsteps, done + max(1, CHUNK // w))
+        live = runs[:w]
+        stages = array("d")
+        for k in range(done + 1, stop + 1):
+            for run in live:
+                y = run.y
+                run.y, y2, y3, y4 = step(y, run.dt)
+                run.t += run.dt
+                if M is not None:
                     stages.extend(y + y2 + y3 + y4)
-                y = y_next
-                t += dt
-                if k % every == 0 or k == last:
-                    ts.append(t)
-                    ys.extend(y)
-                    ks.append(k)
-            run.y, run.t = y, t
-            starts.append(start)
-            kept.append(ks)
+                if k % run.every == 0 or k == run.nsteps:
+                    run.ts.append(run.t)
+                    run.ys.extend(run.y)
         if M is not None:
-            M, coef = _matrix_chunk(cf, runs, starts, kept, stages, M, coef)
-        runs = [r for r in runs if r.done < r.nsteps]
-
-
-def _matrix_chunk(cf, runs, starts, kept, stages, M, coef):
-    """The matrix part of a chunk of _advance.  stages holds the stage
-    states of each run's steps after starts, run after run, and the
-    Jacobians at all of them are one jac_block call.  The stack M steps
-    with the step sizes coef, a run leaves it after its last step of the
-    chunk, and each run stores its matrices after the steps kept.  Returns
-    the stack and its step sizes for the runs that go on."""
-    N = M.shape[-1]
-    taken = [r.done - s for r, s in zip(runs, starts)]
-    first = list(itertools.accumulate(taken, initial=0))
-    # the runs in the stack at each step, and their Jacobians step-major,
-    # so that the slices of one step are contiguous
-    stack = [[b for b, n in enumerate(taken) if n > j]
-             for j in range(max(taken))]
-    J = cf.jac_block(np.frombuffer(stages).reshape(-1, N))
-    J = J.reshape(-1, 4, N, N)[[first[b] + j for j, on in enumerate(stack)
-                                for b in on]]
-    out = np.empty((len(stack), len(runs), N, N))
-    at = 0
-    for j, on in enumerate(stack):
-        if len(on) < len(M):
-            keep = [taken[b] > j for b in stack[j - 1]]
-            M, coef = M[keep], coef[:, keep]
-        M = _matrix_step(J[at:at + len(on)], M, *coef)
-        at += len(on)
-        if len(on) < len(runs):
-            out[j, on] = M
-        else:
-            out[j] = M
-    for b, (run, start, ks) in enumerate(zip(runs, starts, kept)):
-        # the run's samples of this chunk are the last len(ks) of ts
-        stored = len(run.ts)
-        run.Ms[stored - len(ks):stored] = out[[k - start - 1 for k in ks], b]
-    keep = [runs[b].done < runs[b].nsteps for b in stack[-1]]
-    return M[keep], coef[:, keep]
+            J = cf.jac_block(np.frombuffer(stages).reshape(-1, N))
+            J = J.reshape(-1, w, 4, N, N)
+            for Jk, k in zip(J, range(done + 1, stop + 1)):
+                M[:w] = _matrix_step(Jk, M[:w], *coef[:, :w])
+                for b, run in enumerate(live):
+                    if k % run.every == 0 or k == run.nsteps:
+                        run.Ms[-(-k // run.every)] = M[b]
+        done = stop
+        while w and runs[w - 1].nsteps == done:
+            w -= 1
 
 
 class Trajectory:
@@ -449,8 +404,7 @@ def integrate_flows(model, runs, step=1e-3, with_variational=False,
         flows = [_Run(tuple(float(v) for v in cov.xp()),
                       math.copysign(abs(T) / nsteps, T), nsteps, every, M)
                  for cov, T, nsteps, every in plan]
-        _advance(compiled_flow(model), flows,
-                 None if M is None else np.tile(M, (len(flows), 1, 1)))
+        _advance(compiled_flow(model), flows, M)
         trajs = [f.trajectory(model) for f in flows]
         if richardson:
             # (16 y_{h/2} - y_h) / 15 in the arrays of the half-step pass

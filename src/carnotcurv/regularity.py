@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import LossTimeMismatch, NotAmple, RankUnstable
 from .frames import h_frame
-from .hamiltonian import compiled_flow, integrate_flow, rk4_step
+from .hamiltonian import compiled_flow, integrate_flow
 from .tolerances import (LOSS_TIME_MERGE, LOSS_TIME_TOL, RANK_GAP_RATIO,
                          RANK_NOISE_CEIL, RANK_NORM_FLOOR, RANK_TOL,
                          SCAN_DRIFT_TOL, ZERO_TOL)
@@ -163,7 +163,7 @@ def equiregularity_loss_times(model, cov, T, step=1e-3):
         """Pole coordinate at ts[i] + dt via one local RK4 step."""
         if dt == 0.0:
             return s[i]
-        return cf.h_of(np.array([rk4_step(cf, traj.ys[i], dt)[0]]))[0, col]
+        return cf.h_of(np.array([cf.step(traj.ys[i], dt)[0]]))[0, col]
 
     # a pole within ZERO_TOL at either end of the scan is a zero at that
     # end, and a sign change in the step next to it is that same zero

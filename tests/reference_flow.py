@@ -65,7 +65,8 @@ class ReferenceFlow:
 
 
 def reference_rk4_step(cf, y, dt, M=None):
-    """The RK4 step of hamiltonian.rk4_step, driven by a ReferenceFlow."""
+    """The RK4 step of hamiltonian.integrate_flow, driven by a
+    ReferenceFlow."""
     k1 = cf.rhs(y)
     y2 = y + 0.5 * dt * k1
     k2 = cf.rhs(y2)

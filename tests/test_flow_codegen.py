@@ -8,7 +8,8 @@ overflowing power gives a row of NaN outputs instead of an OverflowError.
 integrate_flow steps the state and then the variational matrix a chunk of
 CHUNK steps at a time, and its samples must not depend on where the chunks
 end.  integrate_flows steps several runs in lockstep, their matrices as one
-stack, and each run must equal its one-run flow and the reference loop.
+stack, and each run must equal its one-run flow and the reference loop, in
+batches wider than CHUNK too.
 """
 import functools
 import math
@@ -201,11 +202,11 @@ def test_chunked_run_matches_reference_loop(spec, sign, variational,
 
 def lockstep_runs(model, richardson):
     """Three runs of both signs, each with its own step |T| / nsteps.  With
-    3 runs a chunk is CHUNK // 3 = 21 steps: the 42-step run leaves the
-    stack on the second chunk boundary, the 31-step run inside the second
-    chunk, and the 100-step run ends inside a chunk of its own.  Richardson
-    doubles the batch (10-step chunks), so it takes horizons whose half-step
-    counts are twice the whole."""
+    3 runs a chunk is CHUNK // 3 = 21 steps: the second chunk stops at the
+    end of the 31-step run, the two runs left take CHUNK // 2 = 32 steps up
+    to the end of the 42-step run, and the 100-step run ends alone.
+    Richardson doubles the batch (10-step chunks), so it takes horizons
+    whose half-step counts are twice the whole."""
     n = model.dim
     covs = [covector_at(model, [v * s for v in H0[:n]], BASE[:n])
             for s in (1.0, 0.8, 1.2)]
@@ -245,6 +246,35 @@ def test_lockstep_runs_match_one_run_flows(spec, variational, richardson,
                 assert got.Ms.tobytes() == Ms.tobytes()
             else:
                 assert got.Ms is None
+
+
+@pytest.mark.parametrize("variational", (True, False))
+@pytest.mark.parametrize("every", (1, 7))
+def test_wide_batch_matches_one_run_flows(variational, every):
+    # 70 runs, more than CHUNK: one step per chunk until fewer than 33 are
+    # left.  They are listed shortest first, three of each length from 1 to
+    # 23 steps and one of 24, with alternating signs, so the lockstep loop
+    # reorders them and runs leave the stack at every length.  An empty
+    # batch gives no trajectories.
+    model = build_group("goursat:5")
+    assert integrate_flows(model, [], 1e-3, with_variational=variational,
+                           store_every=every) == []
+    covs = [covector_at(model, [v * s for v in H0[:5]], BASE[:5])
+            for s in (1.0, 0.8, 1.2, 0.6, 1.5)]
+    runs = [(covs[i % 5], (-1) ** i * (1 + i // 3) * 1e-3) for i in range(70)]
+    assert len(runs) > CHUNK
+    assert [step_count(T, 1e-3) for _, T in runs[-4:]] == [23, 23, 23, 24]
+    trajs = integrate_flows(model, runs, 1e-3, with_variational=variational,
+                            store_every=every)
+    for (cov, T), traj in zip(runs, trajs):
+        one = integrate_flow(model, cov, T, 1e-3,
+                             with_variational=variational, store_every=every)
+        assert traj.ts.tobytes() == one.ts.tobytes()
+        assert traj.ys.tobytes() == one.ys.tobytes()
+        if variational:
+            assert traj.Ms.tobytes() == one.Ms.tobytes()
+        else:
+            assert traj.Ms is None
 
 
 def test_lockstep_drift_check_names_the_failing_run():

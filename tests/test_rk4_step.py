@@ -1,11 +1,12 @@
 """The generated RK4 step against the numpy step, bit for bit.
 
-rk4_step runs the state part of a step in the generated CompiledFlow.step
-on Python floats and the variational part in numpy.  A single step must
-give the bytes of the reference numpy step (tests/reference_flow.py), with
-and without the matrix; an overflowing state must give NaN where the numpy
-step driven by the compiled functions gives NaN; and the loss times that
-the regularity bisection finds with single local steps stay pinned.
+The state part of a step is the generated CompiledFlow.step on Python
+floats; the variational part is the matrix step of integrate_flow, in
+numpy.  A single step must give the bytes of the reference numpy step
+(tests/reference_flow.py), with and without the matrix; an overflowing
+state must give NaN where the numpy step driven by the compiled functions
+gives NaN; and the loss times that the regularity bisection finds with
+single local steps stay pinned.
 """
 import math
 
@@ -16,10 +17,10 @@ from hypothesis import strategies as st
 
 from carnotcurv.groups import (Covector, build_group, cartan_h_from_chart,
                                engel_h_from_chart)
-from carnotcurv.hamiltonian import rk4_step
+from carnotcurv.hamiltonian import integrate_flow
 from carnotcurv.regularity import equiregularity_loss_times
 from reference_flow import reference_rk4_step
-from test_flow_codegen import SPECS, UNIT, flows, same, states
+from test_flow_codegen import SPECS, flows, same, states
 
 STEPS = st.floats(1e-5, 0.1).flatmap(
     lambda dt: st.sampled_from((dt, -dt)))
@@ -39,11 +40,14 @@ class OneRow:
         return self.cf.jac_block(np.asarray(y)[None])[0]
 
 
-def matrices(n):
-    """A variational matrix: the identity plus a drawn perturbation."""
-    N = 2 * n
-    return st.lists(UNIT, min_size=N * N, max_size=N * N).map(
-        lambda v: np.eye(N) + 0.1 * np.array(v).reshape(N, N))
+def one_step(model, y, dt):
+    """The state and variational matrix after one integrate_flow step of
+    dt from the state y, the matrix starting at the identity."""
+    n = model.dim
+    traj = integrate_flow(model, Covector(model, y[:n], y[n:]), dt, abs(dt),
+                          with_variational=True, drift_bound=None)
+    assert len(traj) == 2
+    return traj.ys[1], traj.Ms[1]
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -53,17 +57,14 @@ def test_single_step_matches_reference(spec, data):
     model, cf, ref = flows(spec)
     y = data.draw(states(model))
     dt = data.draw(STEPS)
-    got, none = rk4_step(cf, tuple(y.tolist()), dt)
     want, _ = reference_rk4_step(ref, y, dt)
-    assert none is None
-    assert same(np.array(got), want), (y.tolist(), dt)
-    # an array state steps the same as its tuple
-    assert same(np.array(rk4_step(cf, y, dt)[0]), want)
+    # a tuple state and its array step the same
+    for start in (tuple(y.tolist()), y):
+        assert same(np.array(cf.step(start, dt)[0]), want), (y.tolist(), dt)
 
-    M = data.draw(matrices(model.dim))
-    got_y, got_M = rk4_step(cf, tuple(y.tolist()), dt, M)
-    want_y, want_M = reference_rk4_step(ref, y, dt, M)
-    assert same(np.array(got_y), want_y), (y.tolist(), dt)
+    got_y, got_M = one_step(model, y, dt)
+    want_y, want_M = reference_rk4_step(ref, y, dt, np.eye(len(y)))
+    assert same(got_y, want_y), (y.tolist(), dt)
     assert same(got_M, want_M), (y.tolist(), dt)
 
 
@@ -82,12 +83,12 @@ def test_overflowing_step_gives_the_same_nans(spec, data):
     M = np.eye(2 * model.dim)
     # the state part is Python floats: it warns of nothing (warnings are
     # errors in this suite); the matrix part is numpy, and may warn
-    plain, _ = rk4_step(cf, tuple(y.tolist()), dt)
+    plain = cf.step(tuple(y.tolist()), dt)[0]
     with np.errstate(all="ignore"):
-        got_y, got_M = rk4_step(cf, tuple(y.tolist()), dt, M)
+        got_y, got_M = one_step(model, y, dt)
         want_y, want_M = reference_rk4_step(OneRow(cf), y, dt, M)
-    assert np.array(plain).tobytes() == np.array(got_y).tobytes()
-    for got, want in ((np.array(got_y), want_y), (got_M, want_M)):
+    assert np.array(plain).tobytes() == got_y.tobytes()
+    for got, want in ((got_y, want_y), (got_M, want_M)):
         nan = np.isnan(want)
         assert np.array_equal(np.isnan(got), nan)
         assert np.array_equal(got[~nan], want[~nan])
@@ -95,11 +96,11 @@ def test_overflowing_step_gives_the_same_nans(spec, data):
 
 def test_the_1e200_state_steps_to_nan():
     model, cf, _ = flows("goursat:4")
-    y = [0.0] * 8
+    y = np.zeros(8)
     y[0] = 1e200
-    y_next, M = rk4_step(cf, tuple(y), 1e-3, np.eye(8))
-    assert all(math.isnan(v) for v in y_next)
-    _, want_M = reference_rk4_step(OneRow(cf), np.array(y), 1e-3, np.eye(8))
+    y_next, M = one_step(model, y, 1e-3)
+    assert np.isnan(y_next).all()
+    _, want_M = reference_rk4_step(OneRow(cf), y, 1e-3, np.eye(8))
     assert np.array_equal(np.isnan(M), np.isnan(want_M))
 
 
@@ -111,7 +112,7 @@ C07 = [("goursat:4", "C1", (0.3, 0.8, 1.0)), ("goursat:4", "C2", (0.3, 2.5, 1.0)
        ("cartan", "C2", (0.3, 2.5, 1.0, 0.7)),
        ("cartan", "C3", "SEP"), ("cartan", "C6", (0.7, 1.2, 0.0, 0.0))]
 # equiregularity_loss_times(model, cov, 14.0) of the numpy RK4 step, as
-# float.hex; the bisection takes single rk4_step steps from grid points
+# float.hex; the bisection takes single cf.step steps from grid points
 LOSS_TIMES = {
     ("goursat:4", "C1"): ["0x1.78abbd2bb627ap+1", "0x1.8fa40f8483300p+2",
                           "0x1.317920399db76p+3", "0x1.9b2038b0f9a00p+3"],
