@@ -18,7 +18,7 @@ from .errors import (CarnotError, DegreeOverflow, DimensionMismatch,
                      UnsupportedGroup, WrongStratum)
 from .groups import (Covector, GroupModel, build_group, cartan_h_from_chart,
                      engel_h_from_chart, fiber_transform, parse_group_spec)
-from .symfields import Poly, Rat, RatVecField, sigma_pair, sigma_pair_fields
+from .symfields import Poly, Rat, RatVecField, sigma_pair
 from .frames import frame_fields, h_frame, verify_bracket_identities
 from .hamiltonian import Trajectory, conserved_quantities, integrate_flow
 from .elliptic import (PendulumChart, classify_pendulum, complete_K,

@@ -239,7 +239,7 @@ class HFrame:
             num = r.num.eval(hp)
             if isinstance(num, (int, Fraction)):
                 num = Poly.const(2 * self.n, num)
-            return Rat(num, tuple((f.eval(hp), e) for f, e in r.den))
+            return Rat(num, r.pole.eval(hp) if r.e else None, r.e)
 
         for i in range(self.n):
             if not v.a[i].is_zero:
@@ -293,29 +293,23 @@ def h_frame(model):
 
 
 class IdentityCheck:
-    """Result row of a bracket-identity verification.
+    """Result row of a bracket-identity verification: an exact equality."""
 
-    mod_unit_cylinder is True when the identity needed reduction modulo
-    2H - 1 = h1^2 + h2^2 - 1, i.e. it holds exactly on the unit cotangent
-    cylinder (still a zero-tolerance check, via exact divisibility).
-    """
+    __slots__ = ("name", "holds")
 
-    __slots__ = ("name", "holds", "mod_unit_cylinder")
-
-    def __init__(self, name, holds, mod_unit_cylinder=False):
+    def __init__(self, name, holds):
         self.name = name
         self.holds = holds
-        self.mod_unit_cylinder = mod_unit_cylinder
 
     def __repr__(self):
-        tag = " (on 2H=1)" if self.mod_unit_cylinder else ""
-        return f"IdentityCheck({self.name!r}, {'pass' if self.holds else 'FAIL'}{tag})"
+        return f"IdentityCheck({self.name!r}, {'pass' if self.holds else 'FAIL'})"
 
 
 def vanishes_on(cylinder, comps):
     """True when every rational-function component vanishes on {cylinder = 0}:
     its numerator is exactly divisible by the cylinder polynomial (the poles
-    of the frame are coprime to it)."""
+    of the frame are coprime to it).  The higher-diagonal closure of the
+    oracle is the one check that holds only there."""
     return all(c.is_zero or c.num.exact_div(cylinder) is not None
                for c in comps)
 
@@ -323,8 +317,11 @@ def vanishes_on(cylinder, comps):
 def verify_bracket_identities(model):
     """Check the fiber bracket identities of the model as exact field equalities.
 
+    The first holds on all of T*R^n with the factor 2H; its row is named by
+    its form on the unit cotangent cylinder 2H = 1.
+
     Goursat family:
-        [H, X_theta]   = -X3 + h3 X_thetabar
+        [H, X_theta]   = -2H X3 + h3 X_thetabar
         [H, d/dtheta]  = X_theta                      (n = 3)
                        = X_theta + h2 sum_{i=3}^{n-1} h_{i+1} d/dh_i   (n >= 4)
         [H, d/dh3]     = -d/dtheta
@@ -332,7 +329,7 @@ def verify_bracket_identities(model):
         [H, e]         = -H
 
     Cartan group:
-        [H, X_theta]   = -X3 + h3 X_thetabar
+        [H, X_theta]   = -2H X3 + h3 X_thetabar
         [H, d/dh5]     = -h2 d/dh3
         [H, d/dh4]     = -h1 d/dh3
         [H, d/dh3]     = -d/dtheta
@@ -343,19 +340,13 @@ def verify_bracket_identities(model):
     hv = ff.hvec
     h = ff.h
     checks = []
-    cylinder = ff.H_poly * 2 - 1
 
     def add(name, lhs, rhs):
-        if lhs == rhs:
-            checks.append(IdentityCheck(name, True))
-        else:
-            checks.append(IdentityCheck(
-                name, vanishes_on(cylinder, (lhs - rhs).comps),
-                mod_unit_cylinder=True))
+        checks.append(IdentityCheck(name, lhs == rhs))
 
     x3 = ff.lift[2]
     add("[H,X_theta] = -X3 + h3*X_thetabar",
-        hv.bracket(ff.x_theta), x3.smul(-1) + ff.x_thetabar.smul(h[2]))
+        hv.bracket(ff.x_theta), x3.smul(-2 * ff.H) + ff.x_thetabar.smul(h[2]))
 
     if model.kind == "goursat":
         if n == 3:

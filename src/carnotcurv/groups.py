@@ -44,24 +44,18 @@ def _mat_mul(a, b):
     return out
 
 
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def _unitriangular_inverse(a):
-    """Exact inverse of I + N with N strictly triangular nilpotent."""
+    """Exact inverse of an upper unitriangular matrix, by back substitution:
+    inv[i][j] = -sum_{i<k<=j} a[i][k] inv[k][j], bottom row first."""
     n = len(a)
-    nvars = a[0][0].nvars
-    ident = _mat_identity(n, nvars)
-    nil = [[a[i][j] - ident[i][j] for j in range(n)] for i in range(n)]
-    out = _mat_identity(n, nvars)
-    power = _mat_identity(n, nvars)
-    sign = 1
-    for _ in range(1, n):
-        power = _mat_mul(power, nil)
-        sign = -sign
-        out = _mat_add(out, [[e * sign for e in row] for row in power])
-    return out
+    inv = _mat_identity(n, a[0][0].nvars)
+    for j in range(n):
+        for i in range(j - 1, -1, -1):
+            acc = inv[i][j]
+            for k in range(i + 1, j + 1):
+                acc = acc - a[i][k] * inv[k][j]
+            inv[i][j] = acc
+    return inv
 
 
 class GroupModel:
@@ -156,8 +150,8 @@ class GroupModel:
         pole = h[self.pole_index - 1]
         if self.kind == "goursat":
             one = Poly.const(pole.nvars, 1)
-            return {self.dim - 1: Rat(one, ((pole, self.young[0] - 2),))}
-        return {3: Rat(h[1], ((pole, 1),)), 4: Rat(-h[0], ((pole, 1),))}
+            return {self.dim - 1: Rat(one, pole, self.young[0] - 2)}
+        return {3: Rat(h[1], pole, 1), 4: Rat(-h[0], pole, 1)}
 
     def memo(self, build, *args):
         """build(self, *args), computed on first use and kept for the

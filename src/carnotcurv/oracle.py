@@ -125,7 +125,7 @@ def _aij_forms(model, i):
     def hpow(m):
         if m >= 0:
             return Rat(Poly.variable(n, 0) ** m)
-        return Rat(Poly.const(n, 1), ((hf.pole, -m),))
+        return Rat(Poly.const(n, 1), hf.pole, -m)
 
     closed = [hpow(2 - na + i) * ((-1) ** i)]
     if i >= 1:

@@ -15,10 +15,10 @@ next field, so every result that reaches it raises DegreeOverflow.
 
 Rational functions have one pole: every denominator the bracket calculus in
 this package produces is a power of a single irreducible polynomial (h1 for
-the Goursat family, h3 for the Cartan group).  A Rat is num / pole^e, reduced
-by exact division of num by the pole, which keeps every value canonical
-without a general multivariate gcd.  A second, different denominator factor
-raises ValueError.
+the Goursat family, h3 for the Cartan group).  A Rat is num / pole^e, stored
+as exactly those three slots and reduced by exact division of num by the
+pole, which keeps every value canonical without a general multivariate gcd.
+A sum or product of two different poles raises ValueError.
 
 Vector fields carry one rational-function coefficient per coordinate of
 T*R^n ~ R^{2n} in canonical coordinates (x_1..x_n, p_1..p_n); the canonical
@@ -28,9 +28,8 @@ Hamilton equations come out in the standard form xdot = dH/dp, pdot = -dH/dx.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 from operator import index
 
 from .errors import DegreeOverflow, DimensionMismatch
@@ -40,18 +39,10 @@ _ONE = Fraction(1)
 _TWO_POLES = "a rational function has one pole; got two different factors"
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
 def _qgcd(a: Fraction, b: Fraction) -> Fraction:
-    """gcd on rationals: largest q with a/q, b/q integers."""
-    if a == 0:
-        return abs(b)
-    if b == 0:
-        return abs(a)
+    """gcd of two nonzero rationals: largest q with a/q, b/q integers."""
     return Fraction(gcd(a.numerator, b.numerator),
-                    _lcm(a.denominator, b.denominator))
+                    lcm(a.denominator, b.denominator))
 
 
 def _degkey(exps):
@@ -101,11 +92,10 @@ def _borrow_mask(nvars):
 class Poly:
     """Sparse multivariate polynomial over Q, canonical form."""
 
-    __slots__ = ("nvars", "terms", "content", "_k")
+    __slots__ = ("nvars", "terms", "content")
 
     def __init__(self, nvars, terms, content, normalized=False):
         self.nvars = nvars
-        self._k = None
         if normalized:
             self.terms = terms
             self.content = content
@@ -114,7 +104,7 @@ class Poly:
             self.terms = {}
             self.content = _ZERO
             return
-        g = reduce(gcd, (abs(c) for c in terms.values()))
+        g = gcd(*terms.values())
         lead = max(terms)
         if lead >> _BITS * nvars > _FIELD:
             raise DegreeOverflow(_OVERFLOW)
@@ -159,7 +149,7 @@ class Poly:
         items = [(e, Fraction(c)) for e, c in fraction_terms.items() if c != 0]
         if not items:
             return cls.zero(nvars)
-        den = reduce(_lcm, (c.denominator for _, c in items))
+        den = lcm(*(c.denominator for _, c in items))
         terms = {e: int(c * den) for e, c in items}
         return cls(nvars, terms, Fraction(1, den))
 
@@ -174,18 +164,10 @@ class Poly:
         n = self.nvars
         return [(tuple(_unpack(e, n)), c) for e, c in self.terms.items()]
 
-    def key(self):
-        if self._k is None:
-            self._k = (self.content, tuple(sorted(self.terms.items())))
-        return self._k
-
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
         return self.content == other.content and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.key())
 
     def degree(self):
         if not self.terms:
@@ -435,34 +417,21 @@ class Poly:
 class Rat:
     """Rational function num / pole^e with at most one denominator factor.
 
-    den is () or ((pole, e),) with e > 0, where the pole has content 1 and
-    does not divide num.  That reduced form is unique, so equality compares
-    num and den directly.
+    e >= 0.  A pole has content 1 and degree >= 1, and where e > 0 it does
+    not divide num; any other pole, or none where e > 0, raises ValueError.
+    Where e == 0 the pole is None.  That reduced form is unique, so equality
+    compares the three slots.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "pole", "e")
 
-    def __init__(self, num, den=()):
-        pole, e = None, 0
-        scale = _ONE
-        for f, k in den:
-            if k == 0:
-                continue
-            if f.is_zero:
-                raise ZeroDivisionError("zero denominator factor")
-            if f.content != 1:
-                scale *= f.content ** k
-                f = Poly(f.nvars, f.terms, _ONE, normalized=True)
-            if f.degree() == 0:
-                # a constant factor folds into the numerator content
-                continue
-            if pole is not None and f.terms != pole.terms:
-                raise ValueError(_TWO_POLES)
-            pole, e = f, e + k
+    def __init__(self, num, pole=None, e=0):
         if e < 0:
             raise ValueError("negative power of the pole")
-        if scale != 1:
-            num = num * (_ONE / scale)
+        if (e or pole is not None) and not (
+                isinstance(pole, Poly) and pole.content == 1
+                and pole.degree() > 0):
+            raise ValueError(f"a pole has content 1 and degree >= 1; got {pole!r}")
         if not num.is_zero:
             while e > 0:
                 q = num.exact_div(pole)
@@ -471,7 +440,10 @@ class Rat:
                 num = q
                 e -= 1
         self.num = num
-        self.den = ((pole, e),) if e and not num.is_zero else ()
+        if e and not num.is_zero:
+            self.pole, self.e = pole, e
+        else:
+            self.pole, self.e = None, 0
 
     # -- constructors ----------------------------------------------------
     @classmethod
@@ -500,12 +472,18 @@ class Rat:
             other = Rat.of(other, self.num.nvars)
         if not isinstance(other, Rat):
             return NotImplemented
-        return self.den == other.den and self.num == other.num
-
-    def __hash__(self):
-        raise TypeError("Rat is unhashable")
+        return (self.e == other.e and self.num == other.num
+                and self.pole == other.pole)
 
     # -- arithmetic --------------------------------------------------------
+    def _pole(self, other):
+        """The pole of a sum or product with other: other's pole object when
+        both have one, as tests/reference_rat.py does, since the pole's term
+        order reaches float eval."""
+        if self.e and other.e and self.pole.terms != other.pole.terms:
+            raise ValueError(_TWO_POLES)
+        return other.pole if other.e else self.pole
+
     def __add__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
             other = Rat.of(other, self.num.nvars)
@@ -515,31 +493,28 @@ class Rat:
             return other
         if other.is_zero:
             return self
-        if not (self.den or other.den):
-            return Rat(self.num + other.num)
-        # bring both over the larger power of the pole; other's pole object
-        # when both have one, as tests/reference_rat.py does, since the
-        # pole's term order reaches float eval
-        pole = (other.den or self.den)[0][0]
-        e1 = self.den[0][1] if self.den else 0
-        e2 = other.den[0][1] if other.den else 0
-        if e1 and e2 and self.den[0][0].terms != pole.terms:
-            raise ValueError(_TWO_POLES)
-        e = max(e1, e2)
+        # bring both over the larger power of the pole
+        pole = self._pole(other)
+        e = max(self.e, other.e)
         n1, n2 = self.num, other.num
-        if e > e1:
-            n1 = n1 * pole ** (e - e1)
-        if e > e2:
-            n2 = n2 * pole ** (e - e2)
-        return Rat(n1 + n2, ((pole, e),))
+        if e > self.e:
+            n1 = n1 * pole ** (e - self.e)
+        if e > other.e:
+            n2 = n2 * pole ** (e - other.e)
+        return Rat(n1 + n2, pole, e)
 
     __radd__ = __add__
 
-    def __neg__(self):
+    def _scaled(self, num):
+        """num over this pole; num is this numerator times a number, so the
+        form stays reduced."""
         r = Rat.__new__(Rat)
-        r.num = -self.num
-        r.den = self.den
+        r.num = num
+        r.pole, r.e = (self.pole, self.e) if not num.is_zero else (None, 0)
         return r
+
+    def __neg__(self):
+        return self._scaled(-self.num)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
@@ -553,36 +528,33 @@ class Rat:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            r = Rat.__new__(Rat)
-            r.num = self.num * other
-            r.den = self.den if not r.num.is_zero else ()
-            return r
+            return self._scaled(self.num * other)
         if isinstance(other, Poly):
             other = Rat(other)
         if not isinstance(other, Rat):
             return NotImplemented
-        return Rat(self.num * other.num, self.den + other.den)
+        return Rat(self.num * other.num, self._pole(other), self.e + other.e)
 
     __rmul__ = __mul__
 
     def diff(self, i):
-        if not self.den:
+        if not self.e:
             return Rat(self.num.diff(i))
         # d(u / f^e) = (u' f - e u f') / f^{e+1}
-        ((f, e),) = self.den
+        f, e = self.pole, self.e
         top = self.num.diff(i) * f - self.num * f.diff(i) * e
-        return Rat(top, ((f, e + 1),))
+        return Rat(top, f, e + 1)
 
     def eval(self, vals):
         v = self.num.eval(vals)
-        for f, e in self.den:
-            v = v / f.eval(vals) ** e
+        if self.e:
+            v = v / self.pole.eval(vals) ** self.e
         return v
 
     def to_str(self, names):
-        if not self.den:
+        if not self.e:
             return self.num.to_str(names)
-        ((f, e),) = self.den
+        f, e = self.pole, self.e
         s = f.to_str(names)
         s = f"({s})" if len(f.terms) > 1 else s
         return f"({self.num.to_str(names)})/({s if e == 1 else f'{s}^{e}'})"
@@ -699,15 +671,4 @@ def sigma_pair(v, w):
     acc = 0
     for i in range(n):
         acc += v[n + i] * w[i] - w[n + i] * v[i]
-    return acc
-
-
-def sigma_pair_fields(v, w):
-    """Symplectic pairing of two fields as a Rat-valued function."""
-    if v.nvars != w.nvars or v.nvars % 2:
-        raise DimensionMismatch("sigma needs fields on T*R^n")
-    n = v.nvars // 2
-    acc = Rat.zero(v.nvars)
-    for i in range(n):
-        acc = acc + v.comps[n + i] * w.comps[i] - w.comps[n + i] * v.comps[i]
     return acc

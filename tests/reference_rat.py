@@ -1,14 +1,19 @@
 """Reference rational functions: the original factored-denominator Rat.
 
-Kept unchanged as the oracle that the tests compare symfields.Rat against:
-a denominator is any product of factors, merged on addition, and equality
-cross-multiplies when the denominators differ.
+Kept as the oracle that the tests compare symfields.Rat against: a
+denominator is any product of factors, merged on addition, and equality
+cross-multiplies when the denominators differ.  Factors are matched by their
+(content, sorted terms) key.
 """
 from fractions import Fraction
 
 from carnotcurv.symfields import Poly
 
 _ONE = Fraction(1)
+
+
+def _key(f):
+    return (f.content, tuple(sorted(f.terms.items())))
 
 
 class Rat:
@@ -28,7 +33,7 @@ class Rat:
             if f.content != 1:
                 scale *= f.content ** e
                 f = Poly(f.nvars, f.terms, _ONE, normalized=True)
-            k = f.key()
+            k = _key(f)
             if k in factors:
                 factors[k] = (f, factors[k][1] + e)
             else:
@@ -57,7 +62,7 @@ class Rat:
             if e:
                 out.append((f, e))
         self.num = num
-        self.den = tuple(sorted(out, key=lambda fe: fe[0].key()))
+        self.den = tuple(sorted(out, key=lambda fe: _key(fe[0])))
 
     # -- constructors ----------------------------------------------------
     @classmethod
@@ -103,10 +108,10 @@ class Rat:
 
     # -- arithmetic --------------------------------------------------------
     def _merge_den(self, other):
-        mine = {f.key(): (f, e) for f, e in self.den}
+        mine = {_key(f): (f, e) for f, e in self.den}
         out = dict(mine)
         for f, e in other.den:
-            k = f.key()
+            k = _key(f)
             if k in out:
                 out[k] = (f, max(out[k][1], e))
             else:
@@ -123,8 +128,8 @@ class Rat:
         if other.is_zero:
             return self
         union = self._merge_den(other)
-        mine = {f.key(): e for f, e in self.den}
-        theirs = {f.key(): e for f, e in other.den}
+        mine = {_key(f): e for f, e in self.den}
+        theirs = {_key(f): e for f, e in other.den}
         n1, n2 = self.num, other.num
         for k, (f, e) in union.items():
             d1 = e - mine.get(k, 0)

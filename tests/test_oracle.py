@@ -31,7 +31,7 @@ class TestCanonicalETop:
         f = oc.canonical_E_top(g5, cov)
         # coefficient is 1/h1^2 with h1 = p_x
         comp = f.comps[-1]
-        assert len(comp.den) == 1 and comp.den[0][1] == 2
+        assert comp.e == 2
         # flow derivatives up to n_a - 1 are vertical (checked exactly inside)
         of = oc.oracle_fields(g5)
         for k in range(4):

@@ -28,10 +28,11 @@ def polys(draw, nvars, min_terms=0, max_terms=5):
 
 @st.composite
 def cases(draw):
-    """(nvars, pole, [(num, e), (num, e)]) with a nonconstant pole."""
+    """(nvars, pole, [(num, e), (num, e)]) with a nonconstant primitive pole."""
     n = draw(NVARS)
     pole = draw(polys(n, min_terms=1, max_terms=3).filter(
         lambda p: p.degree() > 0))
+    pole = Poly(n, pole.terms, 1, normalized=True)
     pairs = []
     for _ in range(2):
         num = draw(polys(n))
@@ -42,13 +43,16 @@ def cases(draw):
 
 
 def key(r):
+    """Numerator and denominator factors of a Rat or a reference Rat, term
+    order included."""
+    den = r.den if isinstance(r, ReferenceRat) else (
+        ((r.pole, r.e),) if r.e else ())
     return (r.num.content, list(r.num.terms.items()),
-            [(f.content, list(f.terms.items()), e) for f, e in r.den])
+            [(f.content, list(f.terms.items()), e) for f, e in den])
 
 
 def both(num, pole, e):
-    den = ((pole, e),)
-    return Rat(num, den), ReferenceRat(num, den)
+    return Rat(num, pole, e), ReferenceRat(num, ((pole, e),))
 
 
 def same_float(a, b):
