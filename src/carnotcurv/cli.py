@@ -83,9 +83,11 @@ def _parse_covector(text):
     return vals
 
 
-def _config_dict(args, keys):
-    values = {k: getattr(args, k.replace("-", "_"), None) for k in keys}
-    return {k: v for k, v in values.items() if v is not None}
+def _config(args):
+    """The parsed arguments as each report echoes them: every option by its
+    command-line name, those without a value left out."""
+    return {k.replace("_", "-"): v for k, v in vars(args).items()
+            if v is not None and k not in ("command", "func")}
 
 
 @contextlib.contextmanager
@@ -140,8 +142,7 @@ def _model_and_covector(args):
 def cmd_geodesic(args):
     step_count(args.T, args.step)   # a bad horizon fails before any work
     model, cov = _model_and_covector(args)
-    cfg = _config_dict(args, ("group", "covector", "T", "step", "format",
-                              "out", "seed", "tol-drift"))
+    cfg = _config(args)
     traj = integrate_flow(model, cov.as_float(), args.T, step=args.step,
                           drift_bound=args.tol_drift)
     if args.format == "json":
@@ -161,8 +162,7 @@ def cmd_geodesic(args):
 def cmd_classify(args):
     step_count(args.T, args.step)
     model, cov = _model_and_covector(args)
-    cfg = _config_dict(args, ("group", "covector", "T", "step", "format",
-                              "out", "seed", "tol-class"))
+    cfg = _config(args)
     report = regularity.growth_report(model, cov, T=args.T, step=args.step)
     payload = report.to_dict()
     payload["config"] = cfg
@@ -184,7 +184,7 @@ def cmd_classify(args):
 
 def cmd_curvature(args):
     model, cov = _model_and_covector(args)
-    cfg = _config_dict(args, ("group", "covector", "format", "out", "seed"))
+    cfg = _config(args)
     report = curvature_mod.curvature_operator(model, cov)
     # an exact R11 beyond the float range would end in an OverflowError
     try:
@@ -206,7 +206,7 @@ def cmd_verify(args):
     if args.count < 0:
         raise UsageError(f"--count must be >= 0, got {args.count}")
     groups = [args.group] if args.group else list(_VERIFY_GROUPS)
-    cfg = _config_dict(args, ("group", "suite", "count", "out", "seed"))
+    cfg = _config(args)
     rows = []
     for spec in groups:
         model = build_group(spec)
@@ -272,7 +272,7 @@ def cmd_sweep(args):
     if not args.grid:
         raise UsageError("--grid is required for sweep")
     axes = _parse_grid(args.grid, names)
-    cfg = _config_dict(args, ("group", "grid", "format", "out", "seed"))
+    cfg = _config(args)
 
     n = model.dim
     header = list(names) + [f"h{i+1}" for i in range(n)] + \

@@ -213,23 +213,3 @@ def bound_slack(model, cov):
         top = 8 * cross * cross
     return top / (pole * pole)
 
-
-def heisenberg_R(cov):
-    """The Heisenberg curvature matrix (2/5) diag(h3^2, 0)."""
-    h3 = cov.h[2]
-    v = Fraction(2, 5) * h3 * h3 if isinstance(h3, Fraction) else 0.4 * h3 * h3
-    z = Fraction(0) if isinstance(h3, Fraction) else 0.0
-    return ((v, z), (z, z))
-
-
-def engel_r11_chart(theta, c, alpha):
-    """Engel R11 in chart form: 4E - 6 c^2 csc^2(theta)."""
-    E = 0.5 * c * c - alpha * math.cos(theta)
-    s = math.sin(theta)
-    return 4.0 * E - 6.0 * c * c / (s * s)
-
-
-def cartan_r11_chart(theta, c, alpha, beta):
-    """Cartan R11 in chart form: 6E - 8 (alpha^2/c^2) sin^2(theta - beta)."""
-    E = 0.5 * c * c - alpha * math.cos(theta - beta)
-    return 6.0 * E - 8.0 * (alpha * alpha / (c * c)) * math.sin(theta - beta) ** 2

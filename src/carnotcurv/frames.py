@@ -160,12 +160,6 @@ class HFrame:
         self.hvec = HField(a_h, b_h)
 
         self.euler = HField([self.zero] * n, list(h))
-        self.dtheta = HField([self.zero] * n,
-                             [-h[1], h[0]] + [self.zero] * (n - 2))
-        self.x_theta = HField([h[1], -h[0]] + [self.zero] * (n - 2),
-                              [self.zero] * n)
-        self.x_thetabar = HField([h[0], h[1]] + [self.zero] * (n - 2),
-                                 [self.zero] * n)
 
         self.pole = h[model.pole_index - 1].num
         b = [self.zero] * n

@@ -2,10 +2,10 @@
 
 Each model is a concrete polynomial frame realization on R^n together with
 the authoritative structure-constant table.  The realization is validated
-against the table at build time by exact Lie brackets; for the Cartan group
-the z-coefficient signs of X1/X2 are repaired to the unique unitriangular
-realization reproducing the table (the commonly printed X2 does not bracket
-to the printed X3; see README).
+against the table at build time by exact Lie brackets.  For the Cartan group
+the z-coefficient sign of X2 is flipped from the commonly printed one, which
+does not bracket to the printed X3; of the four sign choices of X1/X2 only
+this one reproduces the table (see README).
 
 Covectors are points of T*R^n in canonical (base, p) coordinates with the
 frame-fiber coordinates h_i = <lambda, X_i> derived through the frame matrix
@@ -259,9 +259,6 @@ def validate_realization(a_base, structure):
     return bad
 
 
-# candidate z-sign repairs for the Cartan realization, printed signs first
-_CARTAN_SIGN_CANDIDATES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
 _MODEL_CACHE = {}
 
 
@@ -276,23 +273,17 @@ def build_group(spec):
     if kind == "goursat":
         a = _goursat_a_base(n)
         structure = _goursat_structure(n)
-        if validate_realization(a, structure):
-            raise RealizationMismatch("goursat realization failed validation")
         names = ["x"] + [f"y{j}" for j in range(n - 1)]
         strata = [2] + [1] * (n - 2)
     else:
-        a = None
-        for s1, s2 in _CARTAN_SIGN_CANDIDATES:
-            cand = _cartan_a_base(s1, s2)
-            if not validate_realization(cand, _CARTAN_STRUCTURE):
-                a = cand
-                break
-        if a is None:
-            raise RealizationMismatch(
-                "cartan realization: no z-sign choice reproduces the bracket table")
+        # X2's z-coefficient flipped: the printed signs (1, 1) do not
+        # bracket to the printed X3
+        a = _cartan_a_base(1, -1)
         structure = _CARTAN_STRUCTURE
         names = ["x", "y", "z", "v", "w"]
         strata = [2, 1, 2]
+    if validate_realization(a, structure):
+        raise RealizationMismatch(f"{kind} realization failed validation")
     # proved here as a polynomial identity, A A^-1 = I holds at every base
     # point, so fiber_transform evaluates both matrices without a check;
     # A(0) = I, so a covector at the origin has p = h (Covector.from_h)

@@ -1,21 +1,22 @@
 """Normal geodesic flow: fixed-step RK4 on T*R^n with variational equations.
 
 The polynomial maps of the flow are generated once per group model from the
-exact polynomial Hamiltonian field: the right-hand side, the fiber
+exact polynomial Hamiltonian field: the RK4 step of the state, the fiber
 coordinates h, the energy H and the Jacobian of the variational equations
-(the symbolic derivative, not finite differences).  Each map is one numpy
-block over a stack of states, a chain of ufuncs over their columns.  Only
-the state part of an RK4 step is scalar: it runs on Python floats with its
-four stages inlined, each power v_i**k bound once, and the state is carried
-from step to step as a tuple of floats.  The variational matrix keeps its
-numpy operations, its products BLAS matmuls.  integrate_flows steps several
-runs in lockstep, longest first: each step of the runs still stepping takes
-their states one after the other and their matrices as the prefix of one
-stack, the one place where a variational matrix steps.  The values equal
-those of numpy-scalar evaluation and of the numpy RK4 step bit for bit.  A
-power that overflows gives NaN values, not an OverflowError.  Conserved
-quantities are monitored and drift beyond a configurable bound (a NaN drift
-included) is an error rather than a silent failure.
+(the symbolic derivative, not finite differences).  Each map but the step is
+one numpy block over a stack of states, a chain of ufuncs over their
+columns.  The step, the one evaluator of the field, is scalar: it runs on
+Python floats with its four stages inlined, each power v_i**k bound once,
+and the state is carried from step to step as a tuple of floats.  The
+variational matrix keeps its numpy operations, its products BLAS matmuls.
+integrate_flows steps several runs in lockstep, longest first: each step of
+the runs still stepping takes their states one after the other and their
+matrices as the prefix of one stack, the one place where a variational
+matrix steps.  The values equal those of numpy-scalar evaluation and of the
+numpy RK4 step bit for bit.  A power that overflows gives NaN values, not an
+OverflowError.  Conserved quantities are monitored and drift beyond a
+configurable bound (a NaN drift included) is an error rather than a silent
+failure.
 """
 from __future__ import annotations
 
@@ -145,13 +146,13 @@ def _block(name, nvars, entries, shape):
 
 
 class CompiledFlow:
-    """Generated numeric callables for one model.  rhs, h_of, H_of and
-    jac_block each map a (K, 2n) array of states, one numpy block for all
-    K, to the (K, 2n) array of the field, the (K, n) array of h, the (K,)
-    array of H and the (K, 2n, 2n) array of the Jacobians; a single state
-    is a one-row call.  step(y, dt), the one scalar callable, is the RK4
-    step of the state as tuples (y_next, y2, y3, y4), y a tuple of floats
-    or a float array."""
+    """Generated numeric callables for one model.  h_of, H_of and jac_block
+    each map a (K, 2n) array of states, one numpy block for all K, to the
+    (K, n) array of h, the (K,) array of H and the (K, 2n, 2n) array of the
+    Jacobians; a single state is a one-row call.  step(y, dt), the one
+    scalar callable and the one evaluator of the field, is the RK4 step of
+    the state as tuples (y_next, y2, y3, y4), y a tuple of floats or a
+    float array."""
 
     def __init__(self, model):
         ff = frame_fields(model)
@@ -162,7 +163,6 @@ class CompiledFlow:
                for m in range(N) for l in range(N)]
         parts = [
             ("step", _step(comps), None),
-            _block("rhs", N, list(enumerate(comps)), (N,)),
             _block("h_of", N, list(enumerate(ff.h_poly)), (n,)),
             _block("H_of", N, [(0, ff.H_poly)], ()),
             _block("jac_block", N, [(k, d) for k, d in jac if not d.is_zero],

@@ -32,14 +32,12 @@ from .symfields import Poly, Rat, sigma_pair
 from .tolerances import (DRIFT_TOL, FIT_B_ZERO_TOL, FIT_COND_MAX,
                          FIT_LEAD_TOL, FIT_LIN_TOL, PAIRING_TOL,
                          PROBE_BALANCE_TOL, PROBE_REL_TOL, PROBE_UNIT_TOL,
-                         SCAN_DRIFT_TOL, SHOOT_TOL)
+                         SHOOT_TOL)
 from . import curvature as _curv
 
 # Laurent fit: RK4 step, and the geomspace (start, stop, num) of its t-grid
 _FIT_STEP = 1e-4
 _FIT_T_GEOM = (0.008, 0.06, 14)
-# offsets of the Richardson-extrapolated pull-back derivative
-_PULLBACK_STEPS = (1e-3, 1e-4)
 # cost probe: x offset, tau offset over t, RK4 step, Newton iteration cap
 _PROBE_H = 2e-3
 _PROBE_DT_FRAC = 0.05
@@ -371,36 +369,6 @@ def higher_diagonal_invariants(model, cov):
     values = [r.eval(cov.h) for r in r_funs]
     residuals = [_agrees(p.eval(cov.h), 1, cov.exact) for p in pairings]
     return values, residuals + [closes]
-
-
-def derivative_pullback_check(model, cov):
-    """Validate the bracket oracle against the ODE oracle.
-
-    Richardson-extrapolated numeric derivative of t -> M(t)^{-1} W(lambda(t))
-    at t = 0 versus the bracket field [H, W] evaluated at the covector.
-    Returns the max absolute component difference.
-    """
-    cov = cov.as_float()
-    of = oracle_fields(model)
-    hf = of.hf
-
-    def pullback(t, step):
-        traj = integrate_flow(model, cov, t, step=step, with_variational=True,
-                              drift_bound=SCAN_DRIFT_TOL)
-        M = traj.Ms[-1]
-        end = traj.covector(len(traj) - 1)
-        w = np.array(hf.to_canonical_at(hf.w_top, end), dtype=float)
-        return np.linalg.solve(M, w)
-
-    def central(hstep):
-        inner = hstep / 50.0
-        return (pullback(hstep, inner) - pullback(-hstep, inner)) / (2 * hstep)
-
-    h1, h2 = _PULLBACK_STEPS
-    d1, d2 = central(h1), central(h2)
-    deriv = (h1 * h1 * d2 - h2 * h2 * d1) / (h1 * h1 - h2 * h2)
-    want = np.array(hf.to_canonical_at(of.G[1], cov), dtype=float)
-    return float(np.max(np.abs(deriv - want)))
 
 
 # ----------------------------------------------------------------------

@@ -63,41 +63,38 @@ def growth_vector_closed_form(model, cov, tol=ZERO_TOL):
     return GrowthEntry(model.growth_at_pole, True, False, False)
 
 
-def _rank_fields(model):
-    """ad_H^k applied to the vertical frame d/dh_j, in the h-frame basis."""
+def _rank_fields(model, k):
+    """[ad_H^k d/dh_j for j = 1..n] in the h-frame basis, order k derived
+    from order k - 1."""
     hf = h_frame(model)
-    return [hf.ad_h_chain(hf.dh(j), model.default_max_order)
-            for j in range(1, model.dim + 1)]
+    if k == 0:
+        return [hf.dh(j) for j in range(1, model.dim + 1)]
+    return [hf.bracket(hf.hvec, f) for f in model.memo(_rank_fields, k - 1)]
 
 
 def growth_vector_rank_oracle(model, cov):
     """Growth vector from ranks of iterated brackets of a vertical frame.
 
-    Evaluates ad_H^k(d/dh_j) at the covector, stacks the canonical
-    components, and reads dim F^i off SVD ranks.  Raises RankUnstable when
-    the singular-value gap at the threshold is smaller than a factor of 100.
+    Order by order, evaluates ad_H^k(d/dh_j) at the covector, stacks the
+    canonical components, and reads dim F^i off an SVD rank, stopping
+    where the flag fills; an order is derived on its first use.  Raises
+    RankUnstable when the singular-value gap at the threshold is smaller
+    than a factor of 100.
     """
-    max_order = model.default_max_order
     n = model.dim
     cov = cov.as_float()
     hf = h_frame(model)
-    fields = model.memo(_rank_fields)
     basis = hf.basis_at(cov)
-    vecs_by_order = []
-    for k in range(max_order + 1):
-        rows = []
-        for j in range(n):
-            v = np.array(hf.to_canonical_at(fields[j][k], cov, basis=basis),
-                         dtype=float)
+    growth = []
+    stacked = []
+    for i in range(model.default_max_order + 1):
+        for f in model.memo(_rank_fields, i):
+            v = np.array(hf.to_canonical_at(f, cov, basis=basis), dtype=float)
             norm = np.linalg.norm(v)
             if norm > RANK_NORM_FLOOR:
-                rows.append(v / norm)
-        vecs_by_order.append(rows)
-
-    growth = []
-    stacked = list(vecs_by_order[0])
-    for i in range(1, max_order + 1):
-        stacked += vecs_by_order[i]
+                stacked.append(v / norm)
+        if i == 0:
+            continue
         sv = np.linalg.svd(np.array(stacked), compute_uv=False)
         smax = sv[0]
         kept = sv[sv > RANK_TOL * smax]
@@ -161,8 +158,6 @@ def equiregularity_loss_times(model, cov, T, step=1e-3):
 
     def pole_at(i, dt):
         """Pole coordinate at ts[i] + dt via one local RK4 step."""
-        if dt == 0.0:
-            return s[i]
         return cf.h_of(np.array([cf.step(traj.ys[i], dt)[0]]))[0, col]
 
     # a pole within ZERO_TOL at either end of the scan is a zero at that

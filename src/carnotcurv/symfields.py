@@ -45,11 +45,6 @@ def _qgcd(a: Fraction, b: Fraction) -> Fraction:
                     lcm(a.denominator, b.denominator))
 
 
-def _degkey(exps):
-    """Deglex sort key of an exponent tuple (the order of packed keys)."""
-    return (sum(exps), exps)
-
-
 # bits per field of a packed monomial; decoding reads one byte per field
 _BITS = 8
 _FIELD = (1 << _BITS) - 1

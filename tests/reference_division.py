@@ -5,7 +5,8 @@ each quotient term scans the whole remainder for its leading monomial.
 """
 from fractions import Fraction
 
-from carnotcurv.symfields import Poly, _degkey
+from carnotcurv.symfields import Poly
+from reference_poly import _degkey
 
 _ZERO = Fraction(0)
 

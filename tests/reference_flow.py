@@ -9,7 +9,7 @@ reference does not move with the package.
 import numpy as np
 
 from carnotcurv.frames import frame_fields
-from carnotcurv.symfields import _degkey
+from reference_poly import _degkey
 
 
 def to_pyexpr(poly, varnames):

@@ -10,9 +10,12 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd
 
-from carnotcurv.symfields import _degkey
-
 _ZERO = Fraction(0)
+
+
+def _degkey(exps):
+    """Deglex sort key of an exponent tuple (the order of packed keys)."""
+    return (sum(exps), exps)
 
 
 def _qgcd(a, b):

@@ -646,19 +646,30 @@ class TestSweep:
 
     def test_deterministic(self, capsys):
         # pinned when the slack column became the closed form of
-        # bound - R11: only slack digits in the last place moved
+        # bound - R11: only slack digits in the last place moved; re-pinned
+        # when the config line began to echo tol-class, the rows unchanged
         for group, grid, digest in (
                 ("goursat:4", "theta=0.4:2.8:3,c=0.5:1.5:2,alpha=-1:1:3",
-                 "7d15b94d94a40290393ad158ab62625b"
-                 "739afcb799598e05c7c799b422c095f0"),
+                 "1248d339127d9a95bd3d025a15940f7a"
+                 "af84f38dd04a69abb52e5b83a715dd4f"),
                 ("cartan", "theta=-3:3:4,c=0:1.5:3,alpha=0:1.2:3,beta=-1:1:2",
-                 "2ce5d6c9859ccb36fc1a2262c799cf6c"
-                 "fd46564d65cc416188ae0c1c74cec264")):
+                 "2eb33a872a75f91e533e77e998ee37fa"
+                 "05d627dfebdb965730bf6487de0c5d40")):
             args = ("sweep", "--group", group, "--grid", grid)
             _, out1, _ = run(capsys, *args)
             _, out2, _ = run(capsys, *args)
             assert out1 == out2
             assert sha256(out1) == digest
+
+    def test_tol_class_echoed(self, capsys):
+        # two tolerances may give two tables, so they must give two configs
+        args = ("sweep", "--group", "cartan", "--grid",
+                "theta=-3:3:4,c=0:1.5:3,alpha=0:1.2:3,beta=-1:1:2")
+        configs = []
+        for tol in ("1e-10", "0.5"):
+            _, out, _ = run(capsys, *args, "--tol-class", tol)
+            configs.append(json.loads(out.splitlines()[0][len("# config: "):]))
+        assert [c["tol-class"] for c in configs] == [1e-10, 0.5]
 
 
 class TestUsage:

@@ -1,6 +1,6 @@
 """CompiledFlow against the reference numpy-scalar generator, bit for bit.
 
-The generated blocks rhs, h_of, H_of and jac_block map a stack of states
+The generated blocks h_of, H_of and jac_block map a stack of states
 to a stack of values, and each row must reproduce the reference value at
 that state exactly: the same terms in the same order, each power through
 the same C pow, and every structurally nonzero Jacobian entry in place.  An
@@ -66,8 +66,8 @@ def test_functions_match_reference(spec, data):
     # every row of a block is the reference function at that row
     model, cf, ref = flows(spec)
     Y = np.array(data.draw(st.lists(states(model), min_size=1, max_size=9)))
-    for name, ref_name in (("rhs", "rhs"), ("jac_block", "jac"),
-                           ("h_of", "h_of"), ("H_of", "H_of")):
+    for name, ref_name in (("jac_block", "jac"), ("h_of", "h_of"),
+                           ("H_of", "H_of")):
         got = getattr(cf, name)(Y)
         assert len(got) == len(Y), name
         for row, y in zip(got, Y):
@@ -307,11 +307,11 @@ class TestOverflow:
         return model, Covector.from_h(model, (1e200, 1.0, 0.0, 0.0))
 
     def test_overflowing_power_gives_nan_outputs(self):
-        # x1 = 1e200: x1**2 occurs in all four blocks and overflows
+        # x1 = 1e200: x1**2 occurs in all three blocks and overflows
         cf = compiled_flow(build_group("goursat:4"))
         y = np.zeros((1, 8))
         y[0, 0] = 1e200
-        for name, shape in (("rhs", (8,)), ("h_of", (4,)), ("H_of", ())):
+        for name, shape in (("h_of", (4,)), ("H_of", ())):
             out = np.asarray(getattr(cf, name)(y)[0])
             assert out.shape == shape and np.isnan(out).all(), name
         # the structural zeros of the Jacobian stay 0, every other entry NaN

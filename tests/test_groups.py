@@ -82,7 +82,9 @@ class TestBuild:
 
     def test_realization_mismatch_when_no_repair_exists(self, monkeypatch):
         from carnotcurv.errors import RealizationMismatch
-        monkeypatch.setattr(groups_mod, "_CARTAN_SIGN_CANDIDATES", ((1, 1),))
+        # the printed z-signs in place of the flipped ones
+        monkeypatch.setattr(groups_mod, "_cartan_a_base",
+                            lambda s1, s2: _cartan_a_base(1, 1))
         monkeypatch.delitem(groups_mod._MODEL_CACHE, "cartan", raising=False)
         try:
             with pytest.raises(RealizationMismatch):

@@ -1,12 +1,13 @@
 """Growth vectors: closed-form criteria vs the rank oracle; loss times."""
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from carnotcurv.errors import NotAmple, RankUnstable
-from carnotcurv.groups import (Covector, cartan_h_from_chart,
+from carnotcurv.errors import CarnotError, NotAmple, RankUnstable
+from carnotcurv.groups import (Covector, build_group, cartan_h_from_chart,
                                engel_h_from_chart)
 from carnotcurv.elliptic import complete_K, elliptic_coords
 from carnotcurv.hamiltonian import integrate_flow
@@ -56,7 +57,77 @@ class TestClosedForm:
                 assert e.growth[0] == 2 and e.growth[-1] == m.dim
 
 
+# SHA-256 per group of the rank oracle's outcome at nine covectors (see
+# _rank_outcomes): its growth vector and match, or its exception
+RANK_PIN_SHA256 = {
+    "goursat:3": (
+        "eecf589adc4d31800579a8cbe40cfee284205bcb07430ffe3764ae3543f28f0f"),
+    "goursat:4": (
+        "bd5db73be24235818e13a31890c222a69c2992c4fcb9d593a714e6ff9327a6eb"),
+    "goursat:5": (
+        "f7d2608fc9e70fcb17f5dc3d70381862217c86d1a134212f5a0c5a96a0ae4a30"),
+    "goursat:6": (
+        "d04f18f9a3932fbf7691eb1f1833565d0f49908c64f007ca423ea83261862ba5"),
+    "goursat:7": (
+        "5b1e1d92e173b90e6cad7c2ff9edba9a63f214400969c7bfaa8e193e97afc75f"),
+    "cartan": (
+        "0e81da614627967f294c02546e5328ebc40901045a89d6bddafeb24570e2ac7f"),
+}
+
+
+def _rank_outcomes(m):
+    """Six regular unit covectors, the first with its pole at 0.0, the
+    abnormal h = e_2 and the second with its pole at 1e-5."""
+    from carnotcurv.oracle import random_unit_covector
+    rng = np.random.default_rng(7)
+    hs = [list(random_unit_covector(m, rng, pole_min=0.12).h)
+          for _ in range(6)]
+    pole = m.pole_index - 1
+    at_pole, near_pole = list(hs[0]), list(hs[1])
+    at_pole[pole], near_pole[pole] = 0.0, 1e-5
+    abnormal = [0.0] * m.dim
+    abnormal[1] = 1.0
+    out = []
+    for h in hs + [at_pole, abnormal, near_pole]:
+        cov = Covector.from_h(m, h)
+        try:
+            out.append((growth_vector_rank_oracle(m, cov),
+                        rank_oracle_matches(m, cov)))
+        except CarnotError as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out
+
+
 class TestRankOracle:
+    @pytest.mark.parametrize("spec", sorted(RANK_PIN_SHA256))
+    def test_outcomes_pinned(self, spec):
+        out = _rank_outcomes(build_group(spec))
+        digest = hashlib.sha256(repr(out).encode()).hexdigest()
+        assert digest == RANK_PIN_SHA256[spec], out
+
+    @pytest.mark.parametrize("spec", ["goursat:4", "goursat:6", "cartan"])
+    def test_orders_derived_on_first_use(self, monkeypatch, spec):
+        # on a freshly built model: a regular covector derives the orders
+        # up to n - 1, a pole covector then those its growth vector reads
+        # (2n - 4 on Goursat), an abnormal one up to default_max_order
+        from carnotcurv import groups as groups_mod
+        from carnotcurv.oracle import random_unit_covector
+        from carnotcurv.regularity import _rank_fields
+        monkeypatch.delitem(groups_mod._MODEL_CACHE, spec)
+        m = build_group(spec)
+        regular = random_unit_covector(m, np.random.default_rng(7),
+                                       pole_min=0.12)
+        pole = list(regular.h)
+        pole[m.pole_index - 1] = 0.0
+        abnormal = [0.0] * m.dim
+        abnormal[1] = 1.0
+        for cov, top in ((regular, m.dim - 1),
+                         (Covector.from_h(m, pole), len(m.growth_at_pole)),
+                         (Covector.from_h(m, abnormal), m.default_max_order)):
+            assert rank_oracle_matches(m, cov)
+            assert max(key[1] for key in m._memo
+                       if key[0] is _rank_fields) == top
+
     def test_spec_examples(self, models):
         g4, cc = models["goursat:4"], models["cartan"]
         assert growth_vector_rank_oracle(
@@ -156,7 +227,6 @@ class TestRankOracle:
         for spec, hs in cases.items():
             m = models[spec]
             hf = h_frame(m)
-            fields = _rank_fields(m)
             n = m.dim
             for h in hs:
                 cov = Covector.from_h(m, h)
@@ -164,10 +234,9 @@ class TestRankOracle:
                 basis = hf.basis_at(cov)
                 stacked = []
                 growth = []
-                for k in range(len(fields[0])):
-                    for j in range(n):
-                        stacked.append(hf.to_canonical_at(fields[j][k], cov,
-                                                          basis=basis))
+                for k in range(m.default_max_order + 1):
+                    for f in m.memo(_rank_fields, k):
+                        stacked.append(hf.to_canonical_at(f, cov, basis=basis))
                     if k == 0:
                         continue
                     growth.append(exact_rank(stacked) - n)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carnotcurv.errors import CarnotError, DegreeOverflow, DimensionMismatch
-from carnotcurv.frames import frame_fields, h_frame, verify_bracket_identities
+from carnotcurv.frames import (HField, frame_fields, h_frame,
+                               verify_bracket_identities)
 from carnotcurv.groups import Covector
 from carnotcurv.symfields import Poly, Rat, sigma_pair
 from reference_covector import covector_at
@@ -280,6 +281,15 @@ class TestBracketIdentities:
                 assert ff.hvec.apply(ff.h[4]).is_zero
 
 
+def theta_fields(hf):
+    """d/dtheta = h1 d/dh2 - h2 d/dh1 and X_theta = h2 X1 - h1 X2 of the
+    h-frame."""
+    n, h, zero = hf.n, hf.h, hf.zero
+    pad = [zero] * (n - 2)
+    return (HField([zero] * n, [-h[1], h[0]] + pad),
+            HField([h[1], -h[0]] + pad, [zero] * n))
+
+
 class TestHFrame:
     """The frame-basis algebra must agree with the canonical representation."""
 
@@ -303,14 +313,15 @@ class TestHFrame:
             ff = frame_fields(m)
             assert hf.to_canonical_field(hf.hvec) == ff.hvec
             assert hf.to_canonical_field(hf.euler) == ff.euler
-            assert hf.to_canonical_field(hf.dtheta) == ff.dtheta
-            assert hf.to_canonical_field(hf.x_theta) == ff.x_theta
+            dtheta, x_theta = theta_fields(hf)
+            assert hf.to_canonical_field(dtheta) == ff.dtheta
+            assert hf.to_canonical_field(x_theta) == ff.x_theta
 
     def test_sigma_matches_canonical(self, models, rng):
         for spec in ("goursat:4", "cartan"):
             m = models[spec]
             hf = h_frame(m)
-            pairs = [(hf.dtheta, hf.x_theta), (hf.euler, hf.hvec),
+            pairs = [theta_fields(hf), (hf.euler, hf.hvec),
                      (hf.w_top, hf.bracket(hf.hvec, hf.w_top))]
             for _ in range(5):
                 h = [Fraction(int(rng.integers(-4, 5)), 3)
@@ -333,8 +344,8 @@ class TestHFrame:
             m, [Fraction(3, 5), Fraction(4, 5), Fraction(1, 2), Fraction(2)],
             [Fraction(1, 3), 0, Fraction(1, 7), 2])
         pt = list(cov.xp())
-        for v in (hf.hvec, hf.dtheta, hf.w_top,
-                  hf.bracket(hf.hvec, hf.dtheta)):
+        dtheta, _ = theta_fields(hf)
+        for v in (hf.hvec, dtheta, hf.w_top, hf.bracket(hf.hvec, dtheta)):
             assert hf.to_canonical_at(v, cov) == hf.to_canonical_field(v).eval(pt)
 
 

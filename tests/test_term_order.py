@@ -41,7 +41,10 @@ def _model_keys(model):
          for f in ff.lift + ff.dh + [ff.hvec, ff.w_top]],
         [_hfield(v) for v in of.G],
         _rat(of.norm_fun), _rat(of.r11_fun),
-        [[_hfield(v) for v in chain] for chain in model.memo(_rank_fields)],
+        # the rank fields as chains ad_H^k d/dh_j, k = 0..default_max_order
+        [[_hfield(model.memo(_rank_fields, k)[j])
+          for k in range(model.default_max_order + 1)]
+         for j in range(model.dim)],
     ]
 
 
