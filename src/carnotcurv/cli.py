@@ -11,7 +11,9 @@ singular-covector, 6 verification-failed (a check failed, or a numerical
 oracle could not decide: RankUnstable, IllConditioned, ShootingDiverged,
 StepUnbalanced, LemmaConditionFailed, and LossTimeMismatch, where
 classify's loss-time scan and the elliptic closed form disagree, as on a
-separatrix the float flow leaves).
+separatrix the float flow leaves), 141 stdout closed (its reader went away
+before the output ended, as `| head` does; the rest is dropped without a
+message, and 141 is what a shell reports for a writer that SIGPIPE ends).
 
 Covectors are given in h-coordinates at the origin (where the frame is the
 coordinate basis).  Tokens parse as exact rationals when possible ("1",
@@ -51,6 +53,7 @@ EXIT_INTEGRATOR = 3
 EXIT_NOT_AMPLE = 4
 EXIT_SINGULAR = 5
 EXIT_VERIFY = 6
+EXIT_PIPE = 141
 
 _VERIFY_GROUPS = ("goursat:3", "goursat:4", "goursat:5", "goursat:6", "cartan")
 
@@ -389,7 +392,15 @@ def main(argv=None):
     try:
         if args.out:
             _check_out(args.out)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the exit flush of what is left would fail again: it goes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except (UsageError, UnsupportedGroup, NotUnitSpeed, WrongStratum,
             DegreeOverflow, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .symfields import Poly, Rat, RatVecField
+from .symfields import Poly, Rat, RatVecField, directional_derivative
 
 
 class FrameFields:
@@ -116,11 +116,7 @@ class HField:
 
     def apply(self, f):
         """Directional derivative of a scalar f(h); horizontal part drops out."""
-        out = Rat.zero(f.nvars)
-        for i, bi in enumerate(self.b):
-            if not bi.is_zero:
-                out = out + bi * f.diff(i)
-        return out
+        return directional_derivative(self.b, f)
 
     @property
     def is_vertical(self):

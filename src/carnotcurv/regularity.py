@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import LossTimeMismatch, NotAmple, RankUnstable
 from .frames import h_frame
+from .groups import Covector
 from .hamiltonian import compiled_flow, integrate_flow
 from .tolerances import (LOSS_TIME_MERGE, LOSS_TIME_TOL, RANK_GAP_RATIO,
                          RANK_NOISE_CEIL, RANK_NORM_FLOOR, RANK_TOL,
@@ -136,13 +137,16 @@ def rank_oracle_matches(model, cov):
 
 
 def equiregularity_loss_times(model, cov, T, step=1e-3):
-    """Zeros of the pole coordinate along the flow on [0, T].
+    """Zeros of the pole coordinate along the flow on [0, T], or on [T, 0]
+    when T < 0, in increasing order.
 
     Sign-change scan on the integration grid, refined by bisection (the
     zeros of an ample geodesic's pole coordinate are simple).  For unit-speed
     Engel and Cartan covectors in strata C1/C2/C3/C6 the zeros are
     cross-checked against the elliptic closed form, and a disagreement
-    beyond LOSS_TIME_TOL raises LossTimeMismatch.
+    beyond LOSS_TIME_TOL raises LossTimeMismatch.  H is even in p and
+    h = A(x) p is linear in p, so h(-t; lam) = -h(t; -lam): for T < 0 the
+    closed form's zeros are those of -lam on [0, -T], negated.
     """
     entry = growth_vector_closed_form(model, cov)
     if not entry.ample:
@@ -174,7 +178,7 @@ def equiregularity_loss_times(model, cov, T, step=1e-3):
                 and not (at_end and i == last)):
             lo, hi = 0.0, float(ts[i + 1] - ts[i])
             flo = a
-            while hi - lo > _BISECT_WIDTH:
+            while abs(hi - lo) > _BISECT_WIDTH:
                 mid = 0.5 * (lo + hi)
                 fm = pole_at(i, mid)
                 if flo * fm <= 0.0:
@@ -192,20 +196,26 @@ def equiregularity_loss_times(model, cov, T, step=1e-3):
 
     # the pendulum charts need unit speed, as in growth_report
     if model.has_pendulum and cov.is_unit_speed():
-        chart = elliptic.classify_pendulum(model, cov)
+        forward = cov if T >= 0 else Covector.from_h(model,
+                                                     [-v for v in cov.h])
+        chart = elliptic.classify_pendulum(model, forward)
         if chart.stratum in ("C1", "C2", "C3", "C6"):
             if chart.stratum in ("C1", "C2", "C3"):
-                chart = elliptic.elliptic_coords(model, cov)
-            predicted = elliptic.pole_zero_times(chart, T)
+                chart = elliptic.elliptic_coords(model, forward)
+            span = abs(T)
+            predicted = elliptic.pole_zero_times(chart, span)
             # the scan's end rule on the closed form: a pole within
             # ZERO_TOL at t = 0 or T is a zero there, even where the exact
             # zero lies a hair outside [0, T]
             if (abs(chart.h0[col]) <= ZERO_TOL
                     and not (predicted and predicted[0] <= LOSS_TIME_TOL)):
                 predicted.insert(0, 0.0)
-            if (abs(elliptic.pendulum_closed_form(chart, T)[col]) <= ZERO_TOL
-                    and not (predicted and predicted[-1] >= T - LOSS_TIME_TOL)):
-                predicted.append(T)
+            if (abs(elliptic.pendulum_closed_form(chart, span)[col]) <= ZERO_TOL
+                    and not (predicted
+                             and predicted[-1] >= span - LOSS_TIME_TOL)):
+                predicted.append(span)
+            if T < 0:
+                predicted = [-t for t in reversed(predicted)]
             if len(predicted) != len(out) or any(
                     abs(a - b) > LOSS_TIME_TOL for a, b in zip(predicted, out)):
                 raise LossTimeMismatch(

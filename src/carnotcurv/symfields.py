@@ -28,9 +28,10 @@ Hamilton equations come out in the standard form xdot = dH/dp, pdot = -dH/dx.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import index
+from operator import index, or_
 
 from .errors import DegreeOverflow, DimensionMismatch
 
@@ -190,9 +191,13 @@ class Poly:
         g = _qgcd(self.content, other.content)
         m1 = int(self.content / g)
         m2 = int(other.content / g)
-        terms = {e: c * m1 for e, c in self.terms.items()}
+        if m1 == 1:
+            terms = dict(self.terms)
+        else:
+            terms = {e: c * m1 for e, c in self.terms.items()}
+        get = terms.get
         for e, c in other.terms.items():
-            v = terms.get(e, 0) + c * m2
+            v = get(e, 0) + c * m2
             if v:
                 terms[e] = v
             elif e in terms:
@@ -230,11 +235,18 @@ class Poly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        if len(a) == 1:
+            # a monomial factor shifts every key by the same amount: the
+            # keys stay distinct and keep their order
+            ((ea, ca),) = a.items()
+            out = {ea + eb: ca * cb for eb, cb in b.items()}
+            return Poly(self.nvars, out, self.content * other.content)
         out = {}
+        get = out.get
         for ea, ca in a.items():
             for eb, cb in b.items():
                 e = ea + eb
-                v = out.get(e, 0) + ca * cb
+                v = get(e, 0) + ca * cb
                 if v:
                     out[e] = v
                 elif e in out:
@@ -362,6 +374,18 @@ class Poly:
                  for e in sorted(self.terms, reverse=True)}
         return Poly(self.nvars, terms, ratio, normalized=True)
 
+    def _monomial_power(self, d, most):
+        """The largest k <= most with x^(k d) dividing every term."""
+        n = self.nvars
+        k = most
+        for j, dj in enumerate(_unpack(d, n)):
+            if dj:
+                shift = _BITS * (n - 1 - j)
+                low = min(map(_FIELD.__and__,
+                              map(shift.__rrshift__, self.terms)))
+                k = min(k, low // dj)
+        return k
+
     # -- printing --------------------------------------------------------
     def to_str(self, names):
         if self.is_zero:
@@ -427,13 +451,22 @@ class Rat:
                 isinstance(pole, Poly) and pole.content == 1
                 and pole.degree() > 0):
             raise ValueError(f"a pole has content 1 and degree >= 1; got {pole!r}")
-        if not num.is_zero:
-            while e > 0:
-                q = num.exact_div(pole)
-                if q is None:
-                    break
-                num = q
-                e -= 1
+        if e and not num.is_zero:
+            if len(pole.terms) == 1:
+                # one shift by the largest power of the monomial pole that
+                # divides num, as many single divisions would take out
+                ((d, dc),) = pole.terms.items()
+                k = num._monomial_power(d, e)
+                if k:
+                    num = num._div_monomial(k * d, num.content / dc ** k)
+                    e -= k
+            else:
+                while e > 0:
+                    q = num.exact_div(pole)
+                    if q is None:
+                        break
+                    num = q
+                    e -= 1
         self.num = num
         if e and not num.is_zero:
             self.pole, self.e = pole, e
@@ -461,6 +494,16 @@ class Rat:
     @property
     def is_zero(self):
         return self.num.is_zero
+
+    def support(self):
+        """The packed keys of num, and of the pole where e > 0, or-ed and
+        masked to the exponent fields: the field of a variable is nonzero
+        exactly when some term reads it, and diff by a variable whose field
+        is zero is the zero Rat."""
+        keys = reduce(or_, self.num.terms, 0)
+        if self.e:
+            keys = reduce(or_, self.pole.terms, keys)
+        return keys & _low_fields(self.num.nvars)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
@@ -528,6 +571,10 @@ class Rat:
             other = Rat(other)
         if not isinstance(other, Rat):
             return NotImplemented
+        if self.is_zero:
+            return self
+        if other.is_zero:
+            return other
         return Rat(self.num * other.num, self._pole(other), self.e + other.e)
 
     __rmul__ = __mul__
@@ -612,29 +659,31 @@ class RatVecField:
 
     def apply(self, f):
         """Directional derivative of a scalar Rat along the field."""
-        out = Rat.zero(self.nvars)
-        for l, vl in enumerate(self.comps):
-            if vl.is_zero:
-                continue
-            out = out + vl * f.diff(l)
-        return out
+        return directional_derivative(self.comps, f)
 
     def bracket(self, other):
-        """Lie bracket [self, other] = D(other)*self - D(self)*other."""
+        """Lie bracket [self, other] = D(other)*self - D(self)*other.
+
+        A derivative by a variable that the component does not read is the
+        zero Rat, and adding a zero product returns acc itself, so those
+        steps are skipped.
+        """
         if other.nvars != self.nvars:
             raise DimensionMismatch("field dimensions differ")
+        n = self.nvars
+        v, w = self.comps, other.comps
+        vs = [c.support() for c in v]
+        ws = [c.support() for c in w]
+        fields = _variable_fields(n)
         out = []
-        for m in range(self.nvars):
-            acc = Rat.zero(self.nvars)
-            wm = other.comps[m]
-            vm = self.comps[m]
-            for l in range(self.nvars):
-                vl = self.comps[l]
-                wl = other.comps[l]
-                if not vl.is_zero:
-                    acc = acc + vl * wm.diff(l)
-                if not wl.is_zero:
-                    acc = acc - wl * vm.diff(l)
+        for m in range(n):
+            acc = Rat.zero(n)
+            wm, vm, wsm, vsm = w[m], v[m], ws[m], vs[m]
+            for l, field in enumerate(fields):
+                if wsm & field and not v[l].is_zero:
+                    acc = acc + v[l] * wm.diff(l)
+                if vsm & field and not w[l].is_zero:
+                    acc = acc - w[l] * vm.diff(l)
             out.append(acc)
         return RatVecField(out)
 
@@ -652,6 +701,22 @@ class RatVecField:
     def __repr__(self):
         names = [f"v{i}" for i in range(self.nvars)]
         return f"RatVecField(\n{self.dumps(names)}\n)"
+
+
+def _variable_fields(nvars):
+    """Mask of the exponent field of each variable of a packed key."""
+    return [_FIELD << _BITS * (nvars - 1 - l) for l in range(nvars)]
+
+
+def directional_derivative(coeffs, f):
+    """sum_l coeffs[l] * df/dv_l of a scalar Rat f, over the variables f
+    reads (the other derivatives are the zero Rat)."""
+    out = Rat.zero(f.nvars)
+    s = f.support()
+    for l, field in enumerate(_variable_fields(f.nvars)):
+        if s & field and not coeffs[l].is_zero:
+            out = out + coeffs[l] * f.diff(l)
+    return out
 
 
 def sigma_pair(v, w):

@@ -5,10 +5,16 @@ against.  Each monomial is a tuple of exponents, a product adds the tuples
 field by field, and deglex order is the sort key (total degree, exponents).
 RefPoly.from_terms builds from the same {exponent tuple: coefficient}
 dictionary as Poly.from_terms.
+
+packed_add, packed_mul and packed_pow are the packed-key Poly loops as they
+were before the one-term and unit-multiplier shortcuts: every product by
+the double loop, every sum with both operands rescaled term by term.
 """
 from fractions import Fraction
 from functools import reduce
 from math import gcd
+
+from carnotcurv.symfields import Poly, _qgcd
 
 _ZERO = Fraction(0)
 
@@ -168,3 +174,47 @@ class RefPoly:
             mono = "*".join(power(i, k) for i, k in enumerate(e) if k)
             parts.append(f"{c!r}*{mono}" if mono else f"{c!r}")
         return " + ".join(parts)
+
+
+def packed_add(a, b):
+    """a + b for two nonzero packed-key Polys, each term rescaled."""
+    g = _qgcd(a.content, b.content)
+    m1 = int(a.content / g)
+    m2 = int(b.content / g)
+    terms = {e: c * m1 for e, c in a.terms.items()}
+    for e, c in b.terms.items():
+        v = terms.get(e, 0) + c * m2
+        if v:
+            terms[e] = v
+        elif e in terms:
+            del terms[e]
+    return Poly(a.nvars, terms, g)
+
+
+def packed_mul(a, b):
+    """a * b for two nonzero packed-key Polys by the double loop."""
+    x, y = a.terms, b.terms
+    if len(x) > len(y):
+        x, y = y, x
+    out = {}
+    for ex, cx in x.items():
+        for ey, cy in y.items():
+            e = ex + ey
+            v = out.get(e, 0) + cx * cy
+            if v:
+                out[e] = v
+            elif e in out:
+                del out[e]
+    return Poly(a.nvars, out, a.content * b.content)
+
+
+def packed_pow(a, k):
+    """a ** k by repeated squaring over packed_mul."""
+    result = Poly.const(a.nvars, 1)
+    base = a
+    while k:
+        if k & 1:
+            result = packed_mul(result, base)
+        base = packed_mul(base, base) if k > 1 else base
+        k >>= 1
+    return result

@@ -4,10 +4,15 @@ Kept as the oracle that the tests compare symfields.Rat against: a
 denominator is any product of factors, merged on addition, and equality
 cross-multiplies when the denominators differ.  Factors are matched by their
 (content, sorted terms) key.
+
+reduce_by_pole, apply_no_skip and bracket_no_skip are the loops of the
+one-pole Rat and its fields as they were before they skipped zero work:
+one exact division per power of the pole, and a derivative by every
+variable.
 """
 from fractions import Fraction
 
-from carnotcurv.symfields import Poly
+from carnotcurv.symfields import Poly, Rat as OnePoleRat, RatVecField
 
 _ONE = Fraction(1)
 
@@ -240,3 +245,45 @@ class Rat:
         names = [f"v{i}" for i in range(self.num.nvars)]
         return f"Rat({self.to_str(names)})"
 
+
+
+def reduce_by_pole(num, pole, e):
+    """(num, e) of num / pole^e after dividing out the pole one power at a
+    time."""
+    if not num.is_zero:
+        while e > 0:
+            q = num.exact_div(pole)
+            if q is None:
+                break
+            num = q
+            e -= 1
+    return num, e
+
+
+def apply_no_skip(coeffs, f):
+    """sum_l coeffs[l] * df/dv_l with a derivative by every variable whose
+    coefficient is nonzero."""
+    out = OnePoleRat.zero(f.nvars)
+    for l, vl in enumerate(coeffs):
+        if vl.is_zero:
+            continue
+        out = out + vl * f.diff(l)
+    return out
+
+
+def bracket_no_skip(v, w):
+    """[v, w] of two RatVecFields with every derivative taken."""
+    out = []
+    for m in range(v.nvars):
+        acc = OnePoleRat.zero(v.nvars)
+        wm = w.comps[m]
+        vm = v.comps[m]
+        for l in range(v.nvars):
+            vl = v.comps[l]
+            wl = w.comps[l]
+            if not vl.is_zero:
+                acc = acc + vl * wm.diff(l)
+            if not wl.is_zero:
+                acc = acc - wl * vm.diff(l)
+        out.append(acc)
+    return RatVecField(out)

@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -16,6 +19,7 @@ from carnotcurv import oracle
 from carnotcurv import regularity
 from carnotcurv.errors import IllConditioned
 from carnotcurv.groups import build_group
+from carnotcurv.tolerances import LOSS_TIME_TOL
 
 
 def run(capsys, *args):
@@ -181,6 +185,27 @@ class TestGeodesic:
         # each series is one block call over all samples
         assert calls == {"h_of": 1, "H_of": 1}
 
+    def test_closed_stdout_exit_141_without_traceback(self):
+        # 10,001 rows overflow a pipe's buffer, so the writer is still
+        # writing when its reader goes away after two lines
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "carnotcurv", "geodesic", "--group",
+             "goursat:4", "--covector", "0,1,1,0.5", "--T", "10"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            lines = [proc.stdout.readline() for _ in range(2)]
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert lines[1] == b"t,x,y0,y1,y2,h1,h2,h3,h4,H,E\n"
+        assert code == cli.EXIT_PIPE == 141
+        assert b"Traceback" not in err and err == b""
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "geodesic", "--group", "goursat:3",
                            "--covector", "1,0,0", "--T", "0.01",
@@ -330,6 +355,28 @@ class TestClassify:
         # h3 = 1, h4 = 0: the pole h1 turns at unit rate, zero at atan2(h1, h2)
         (t0,) = d["loss_times"]
         assert abs(t0 - math.atan2(0.6, 0.8000001)) < 1e-6
+
+    @pytest.mark.parametrize("group, h, nzeros", [
+        # the Engel C1 chart point (theta, c, alpha) = (0.3, 0.8, 1.0)
+        ("goursat:4", (-0.29552020666133955, 0.955336489125606, 0.8, 1.0), 2),
+        ("cartan", (0.6, 0.8, 0.5, 0.3, 0.2), 1)])
+    def test_negative_horizon_mirrors_the_reflected_covector(
+            self, capsys, group, h, nzeros):
+        # h(-t; lam) = -h(t; -lam): the losses on [-6, 0] are those of -lam
+        # on [0, 6], negated; the bisection once never ran for T < 0 and the
+        # closed form predicted no zeros there, so this exited 6
+        back = ",".join(map(repr, h))
+        ahead = ",".join(repr(-v) for v in h)
+        code, out, err = run(capsys, "classify", "--group", group,
+                             f"--covector={back}", "--T=-6")
+        assert code == 0 and err == ""
+        got = json.loads(out)["loss_times"]
+        code, out, _ = run(capsys, "classify", "--group", group,
+                           f"--covector={ahead}", "--T", "6")
+        assert code == 0
+        want = [-t for t in reversed(json.loads(out)["loss_times"])]
+        assert len(got) == len(want) == nzeros
+        assert all(abs(a - b) <= LOSS_TIME_TOL for a, b in zip(got, want))
 
     def test_config_echo(self, capsys):
         code, out, _ = run(capsys, "classify", "--group", "cartan",
